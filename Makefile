@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: tier1 vet race chaos netchaos fleet-soak serve-smoke cluster-smoke fuzz check bench bench-smoke bench-detect bench-adapt bench-fleet bench-serve bench-cluster bench-paper serve-demo
+.PHONY: tier1 vet race chaos netchaos fleet-soak serve-smoke cluster-smoke fuzz check bench bench-smoke bench-serving-smoke bench-detect bench-adapt bench-fleet bench-serve bench-cluster bench-paper serve-demo
 
 tier1:
 	$(GO) build ./... && $(GO) test ./...
@@ -79,7 +79,21 @@ fuzz:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-check: tier1 vet race chaos bench-smoke
+# Serving-benchmark smoke: the benchmark's own tests, then every workload
+# for 2s untraced. Fails unless each run's result line reports a correct
+# run with no failed operations.
+bench-serving-smoke:
+	cd benchmark && $(GO) test ./...
+	@for w in hub-flood wire-open cluster-migrate adapt-drift; do \
+		line=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1) || exit 1; \
+		echo "$$w: $$line"; \
+		case "$$line" in \
+			*'"correct":true,'*'"failed":0,'*) ;; \
+			*) echo "bench-serving-smoke: $$w is not correct with 0 failed" >&2; exit 1 ;; \
+		esac; \
+	done
+
+check: tier1 vet race chaos bench-smoke bench-serving-smoke
 
 # Mining/G² counting-kernel benchmarks; records the bit-vs-scalar baseline
 # (ns/op, allocations, speedups) to BENCH_pc.json for the perf trajectory.

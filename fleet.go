@@ -225,9 +225,10 @@ func (ft *fleetTenant) carriedStats() TenantStats {
 	return ft.carried
 }
 
-// addTenantCounters sums the cumulative counters of two TenantStats; the
-// point-in-time fields (queue depth, health, latency percentiles, last
-// error) are taken from b, the more recent snapshot.
+// addTenantCounters sums the cumulative counters of two TenantStats and
+// merges their latency histograms, recomputing the percentiles from the
+// merge; the point-in-time fields (queue depth, health, last error) are
+// taken from b, the more recent snapshot.
 func addTenantCounters(a, b TenantStats) TenantStats {
 	b.Ingested += a.Ingested
 	b.Processed += a.Processed
@@ -238,6 +239,9 @@ func addTenantCounters(a, b TenantStats) TenantStats {
 	b.Panics += a.Panics
 	b.Shed += a.Shed
 	b.Updates += a.Updates
+	b.Latency = b.Latency.Merge(a.Latency)
+	b.P50 = b.Latency.Percentile(50)
+	b.P99 = b.Latency.Percentile(99)
 	return b
 }
 
@@ -267,8 +271,10 @@ type Fleet struct {
 	// fan-in channel: one log line per home, not a flood.
 	dropLogged sync.Map
 
+	// shards maps shard id → Shard. The per-event submit sink reads it
+	// lock-free; mu serializes its writers with nextShard and tenants.
 	mu        sync.RWMutex
-	shards    map[int]Shard
+	shards    sync.Map
 	nextShard int
 	tenants   map[string]*fleetTenant
 
@@ -304,24 +310,35 @@ func newFleet(cfg FleetConfig, localShards int) *Fleet {
 		cfg:     cfg,
 		router:  fleet.NewRouter(cfg.Replicas),
 		alarms:  make(chan TenantAlarm, buffer),
-		shards:  make(map[int]Shard),
 		tenants: make(map[string]*fleetTenant),
 	}
 	f.migCond = sync.NewCond(&f.migMu)
 	for i := 0; i < localShards; i++ {
 		id := f.nextShard
 		f.nextShard++
-		f.shards[id] = &localShard{h: NewHub(cfg.Hub)}
+		f.shards.Store(id, &localShard{h: NewHub(cfg.Hub)})
 		f.router.AddShard(id)
 	}
 	return f
 }
 
-// shard fetches a live shard by id.
+// shard fetches a live shard by id without taking a lock; nil when absent.
 func (f *Fleet) shard(id int) Shard {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.shards[id]
+	s, _ := f.shards.Load(id)
+	sh, _ := s.(Shard)
+	return sh
+}
+
+// shardList returns the live shard ids, ascending, and their shards. The
+// caller holds mu: shard ids are allocated below nextShard.
+func (f *Fleet) shardList() (ids []int, shards []Shard) {
+	for id := 0; id < f.nextShard; id++ {
+		if s := f.shard(id); s != nil {
+			ids = append(ids, id)
+			shards = append(shards, s)
+		}
+	}
+	return ids, shards
 }
 
 // Shards returns the current shard ids, sorted.
@@ -433,7 +450,7 @@ func (f *Fleet) RegisterMonitor(tenant string, mon *Monitor, opts TenantOptions)
 		f.mu.Unlock()
 		return fmt.Errorf("%w: fleet has no shards", ErrUnknownShard)
 	}
-	s := f.shards[shard]
+	s := f.shard(shard)
 	ft := &fleetTenant{opts: opts}
 	f.tenants[tenant] = ft
 	f.mu.Unlock()
@@ -486,7 +503,7 @@ func (f *Fleet) Deregister(tenant string) error {
 	}
 	f.mu.Lock()
 	delete(f.tenants, tenant)
-	s := f.shards[shard]
+	s := f.shard(shard)
 	f.mu.Unlock()
 	if s == nil {
 		return fmt.Errorf("%w %d", ErrUnknownShard, shard)
@@ -581,7 +598,7 @@ func (f *Fleet) Migrate(tenant string, shard int) error {
 		f.migMu.Unlock()
 	}()
 	f.mu.RLock()
-	dst := f.shards[shard]
+	dst := f.shard(shard)
 	ft := f.tenants[tenant]
 	f.mu.RUnlock()
 	if dst == nil {
@@ -663,7 +680,7 @@ func (f *Fleet) AddShard() (int, error) {
 	}
 	id := f.nextShard
 	f.nextShard++
-	f.shards[id] = &localShard{h: NewHub(f.cfg.Hub)}
+	f.shards.Store(id, &localShard{h: NewHub(f.cfg.Hub)})
 	f.mu.Unlock()
 	f.router.AddShard(id)
 	return id, f.Rebalance()
@@ -683,7 +700,7 @@ func (f *Fleet) AddShardFor(s Shard) (int, error) {
 	}
 	id := f.nextShard
 	f.nextShard++
-	f.shards[id] = s
+	f.shards.Store(id, s)
 	f.mu.Unlock()
 	f.router.AddShard(id)
 	return id, f.Rebalance()
@@ -694,9 +711,10 @@ func (f *Fleet) AddShardFor(s Shard) (int, error) {
 // the last shard is refused with ErrLastShard.
 func (f *Fleet) RemoveShard(id int) error {
 	f.mu.RLock()
-	h := f.shards[id]
-	last := len(f.shards) <= 1
+	h := f.shard(id)
+	ids, _ := f.shardList()
 	f.mu.RUnlock()
+	last := len(ids) <= 1
 	if h == nil {
 		return fmt.Errorf("%w %d", ErrUnknownShard, id)
 	}
@@ -711,7 +729,7 @@ func (f *Fleet) RemoveShard(id int) error {
 		return fmt.Errorf("causaliot: shard %d still serves %d homes after rebalance", id, len(stranded))
 	}
 	f.mu.Lock()
-	delete(f.shards, id)
+	f.shards.Delete(id)
 	f.mu.Unlock()
 	return h.Close()
 }
@@ -720,10 +738,7 @@ func (f *Fleet) RemoveShard(id int) error {
 // across all shards, keyed by tenant name.
 func (f *Fleet) LifecycleStats() map[string]LifecycleStats {
 	f.mu.RLock()
-	shards := make([]Shard, 0, len(f.shards))
-	for _, s := range f.shards {
-		shards = append(shards, s)
-	}
+	_, shards := f.shardList()
 	f.mu.RUnlock()
 	out := make(map[string]LifecycleStats)
 	for _, s := range shards {
@@ -736,20 +751,12 @@ func (f *Fleet) LifecycleStats() map[string]LifecycleStats {
 
 // Stats aggregates the fleet's runtime counters into the same shape a
 // single Hub reports: one entry per home (cumulative across migrations),
-// a fleet-wide total, and the summed worker count. Latency percentiles are
-// point-in-time per serving shard; the Total percentiles are the worst
-// shard's, a conservative bound.
+// a fleet-wide total, and the summed worker count. Every percentile comes
+// from a merged latency histogram: a home's covers all the shards that
+// served it, the Total's covers every home.
 func (f *Fleet) Stats() HubStats {
 	f.mu.RLock()
-	ids := make([]int, 0, len(f.shards))
-	for id := range f.shards {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	shards := make([]Shard, len(ids))
-	for i, id := range ids {
-		shards[i] = f.shards[id]
-	}
+	_, shards := f.shardList()
 	carried := make(map[string]TenantStats, len(f.tenants))
 	for name, ft := range f.tenants {
 		carried[name] = ft.carriedStats()
@@ -770,12 +777,6 @@ func (f *Fleet) Stats() HubStats {
 				ts = addTenantCounters(prev, ts)
 			}
 			merged[ts.Tenant] = ts
-		}
-		if s.Total.P50 > out.Total.P50 {
-			out.Total.P50 = s.Total.P50
-		}
-		if s.Total.P99 > out.Total.P99 {
-			out.Total.P99 = s.Total.P99
 		}
 	}
 	names := make([]string, 0, len(merged))
@@ -801,10 +802,13 @@ func (f *Fleet) Stats() HubStats {
 		t.Panics += ts.Panics
 		t.Shed += ts.Shed
 		t.Updates += ts.Updates
+		t.Latency = t.Latency.Merge(ts.Latency)
 		if ts.Health != HealthHealthy {
 			t.Health = HealthQuarantined
 		}
 	}
+	out.Total.P50 = out.Total.Latency.Percentile(50)
+	out.Total.P99 = out.Total.Latency.Percentile(99)
 	return out
 }
 
@@ -838,15 +842,7 @@ type FleetStats struct {
 // FleetStats snapshots the per-shard breakdown and migration counters.
 func (f *Fleet) FleetStats() FleetStats {
 	f.mu.RLock()
-	ids := make([]int, 0, len(f.shards))
-	for id := range f.shards {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	shards := make([]Shard, len(ids))
-	for i, id := range ids {
-		shards[i] = f.shards[id]
-	}
+	ids, shards := f.shardList()
 	f.mu.RUnlock()
 	out := FleetStats{Shards: make([]ShardStats, len(ids))}
 	for i, id := range ids {
@@ -894,10 +890,7 @@ func (f *Fleet) CloseWithin(d time.Duration) error {
 		}
 		f.migMu.Unlock()
 		f.mu.RLock()
-		shards := make([]Shard, 0, len(f.shards))
-		for _, s := range f.shards {
-			shards = append(shards, s)
-		}
+		_, shards := f.shardList()
 		f.mu.RUnlock()
 		var wg sync.WaitGroup
 		var errMu sync.Mutex

@@ -2,8 +2,10 @@ package causaliot
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -652,5 +654,69 @@ func TestFleetAlarmDropSurfaced(t *testing.T) {
 	}
 	if got := f.Stats().AlarmsDropped; got != 1 {
 		t.Fatalf("Stats().AlarmsDropped = %d, want 1", got)
+	}
+}
+
+// TestFleetLatencySurvivesMigration is the merged-percentile contract: a
+// migrated home keeps the latency histogram of every shard that served it
+// (no P50 = P99 = 0 after a move), the fleet Total's percentiles come from
+// merging every home's histogram, and the histogram survives the stats
+// JSON that remote cluster shards report through.
+func TestFleetLatencySurvivesMigration(t *testing.T) {
+	sys := mustTrain(t, Config{Tau: 2})
+	f := NewFleet(FleetConfig{Shards: 2, Hub: HubConfig{Workers: 1}})
+	defer f.Close()
+	homes := []string{"home", "other"}
+	for _, name := range homes {
+		if err := f.Register(name, sys, TenantOptions{OnAlarm: func(string, *Alarm, float64) {}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq := ghostSequence()
+	for _, name := range homes {
+		for _, ev := range seq {
+			if err := f.Submit(name, ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	drainFleet(t, f, uint64(len(homes)*len(seq)))
+	from, err := f.ShardOf("home")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Migrate("home", 1-from); err != nil {
+		t.Fatal(err)
+	}
+
+	s := f.Stats()
+	var total LatencyHistogram
+	for _, ts := range s.Tenants {
+		if ts.Latency.Count() == 0 || ts.P50 <= 0 || ts.P99 < ts.P50 {
+			t.Errorf("%s: %d latency samples, p50=%v p99=%v", ts.Tenant, ts.Latency.Count(), ts.P50, ts.P99)
+		}
+		if ts.P50 != ts.Latency.Percentile(50) || ts.P99 != ts.Latency.Percentile(99) {
+			t.Errorf("%s: percentiles p50=%v p99=%v not read from its histogram", ts.Tenant, ts.P50, ts.P99)
+		}
+		total = total.Merge(ts.Latency)
+	}
+	if !reflect.DeepEqual(s.Total.Latency, total) {
+		t.Fatalf("total histogram %+v, want the merge of every home's %+v", s.Total.Latency, total)
+	}
+	if s.Total.P50 != total.Percentile(50) || s.Total.P99 != total.Percentile(99) {
+		t.Errorf("total p50=%v p99=%v, merged histogram says %v/%v",
+			s.Total.P50, s.Total.P99, total.Percentile(50), total.Percentile(99))
+	}
+
+	doc, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back HubStats
+	if err := json.Unmarshal(doc, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Total.Latency, s.Total.Latency) {
+		t.Fatalf("histogram lost in the stats JSON: %+v != %+v", back.Total.Latency, s.Total.Latency)
 	}
 }

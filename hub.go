@@ -151,8 +151,14 @@ type TenantAlarm struct {
 	Seq uint64
 }
 
-// TenantStats is one home's runtime counters. Latencies cover the most
-// recent processed events (p50/p99 of the per-event observe time).
+// LatencyHistogram is a mergeable histogram of sampled per-event processing
+// times (see TenantStats.Latency). Percentile reads it back within 12.5% of
+// the nearest-rank sample; Merge combines homes, shards and processes.
+type LatencyHistogram = hub.Histogram
+
+// TenantStats is one home's runtime counters. P50 and P99 are percentiles
+// of Latency: the processing time of one event in 16, sampled since the
+// home registered, within the histogram's 12.5% bucket error.
 type TenantStats struct {
 	Tenant     string
 	Ingested   uint64
@@ -175,6 +181,10 @@ type TenantStats struct {
 	// Updates counts stream-pausing control operations applied to the home
 	// (model hot swaps, checkpoints, flushes).
 	Updates uint64
+	// Latency holds the sampled processing times behind P50/P99. It rides
+	// the stats JSON, so fleet and cluster totals merge histograms instead
+	// of combining percentiles, and it follows a home across migrations.
+	Latency LatencyHistogram
 }
 
 // HubStats is a point-in-time snapshot of the hub's counters.
@@ -584,6 +594,7 @@ func convertTenantStats(ts hub.TenantStats) TenantStats {
 		Shed:       ts.Shed,
 		LastError:  ts.LastError,
 		Updates:    ts.Updates,
+		Latency:    ts.Latency,
 	}
 }
 

@@ -56,8 +56,11 @@ type entry struct {
 type Router struct {
 	ring *Ring
 
-	mu      sync.RWMutex
-	entries map[string]*entry
+	// entries maps tenant → *entry. Dispatch and the other per-tenant
+	// calls read it lock-free; mu serializes its writers (Activate,
+	// Remove) so the duplicate check stays atomic with the insert.
+	mu      sync.Mutex
+	entries sync.Map
 
 	migrations atomic.Uint64 // completed migrations (route flips)
 	replayed   atomic.Uint64 // gap events replayed through migrations
@@ -67,7 +70,7 @@ type Router struct {
 // NewRouter creates a router over an empty ring; replicas <= 0 selects
 // DefaultReplicas virtual nodes per shard.
 func NewRouter(replicas int) *Router {
-	return &Router{ring: NewRing(replicas), entries: make(map[string]*entry)}
+	return &Router{ring: NewRing(replicas)}
 }
 
 // AddShard places a shard on the ring, making it eligible to own tenants.
@@ -100,10 +103,10 @@ func (r *Router) Activate(tenant string, shard int, policy hub.Policy, gapCap in
 	e.cond = sync.NewCond(&e.mu)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.entries[tenant]; dup {
+	if _, dup := r.entries.Load(tenant); dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateTenant, tenant)
 	}
-	r.entries[tenant] = e
+	r.entries.Store(tenant, e)
 	return nil
 }
 
@@ -112,10 +115,8 @@ func (r *Router) Activate(tenant string, shard int, policy hub.Policy, gapCap in
 // shard that was serving the tenant so the caller can complete the hub-level
 // removal there; ok is false for an unrouted tenant.
 func (r *Router) Remove(tenant string) (shard int, ok bool) {
-	r.mu.Lock()
-	e := r.entries[tenant]
-	r.mu.Unlock()
-	if e == nil {
+	e, err := r.lookup(tenant)
+	if err != nil {
 		return 0, false
 	}
 	e.mu.Lock()
@@ -125,7 +126,7 @@ func (r *Router) Remove(tenant string) (shard int, ok bool) {
 	shard = e.shard
 	e.mu.Unlock()
 	r.mu.Lock()
-	delete(r.entries, tenant)
+	r.entries.Delete(tenant)
 	r.mu.Unlock()
 	return shard, true
 }
@@ -134,10 +135,8 @@ func (r *Router) Remove(tenant string) (shard int, ok bool) {
 // unrouted tenant. The answer is advisory — a migration may flip it the
 // moment the lock is released; use Dispatch/Control for serialized access.
 func (r *Router) Route(tenant string) (shard int, ok bool) {
-	r.mu.RLock()
-	e := r.entries[tenant]
-	r.mu.RUnlock()
-	if e == nil {
+	e, err := r.lookup(tenant)
+	if err != nil {
 		return 0, false
 	}
 	e.mu.Lock()
@@ -147,42 +146,39 @@ func (r *Router) Route(tenant string) (shard int, ok bool) {
 
 // Tenants returns every routed tenant, sorted.
 func (r *Router) Tenants() []string {
-	r.mu.RLock()
-	out := make([]string, 0, len(r.entries))
-	for name := range r.entries {
-		out = append(out, name)
-	}
-	r.mu.RUnlock()
+	var out []string
+	r.entries.Range(func(name, _ any) bool {
+		out = append(out, name.(string))
+		return true
+	})
 	sort.Strings(out)
 	return out
 }
 
 // TenantsOn returns the tenants currently routed to a shard, sorted.
 func (r *Router) TenantsOn(shard int) []string {
-	r.mu.RLock()
 	var out []string
-	for name, e := range r.entries {
+	r.entries.Range(func(name, v any) bool {
+		e := v.(*entry)
 		e.mu.Lock()
 		s := e.shard
 		e.mu.Unlock()
 		if s == shard {
-			out = append(out, name)
+			out = append(out, name.(string))
 		}
-	}
-	r.mu.RUnlock()
+		return true
+	})
 	sort.Strings(out)
 	return out
 }
 
-// lookup fetches a tenant's route entry.
+// lookup fetches a tenant's route entry without taking a lock.
 func (r *Router) lookup(tenant string) (*entry, error) {
-	r.mu.RLock()
-	e := r.entries[tenant]
-	r.mu.RUnlock()
-	if e == nil {
+	v, ok := r.entries.Load(tenant)
+	if !ok {
 		return nil, fmt.Errorf("%w %q", hub.ErrUnknownTenant, tenant)
 	}
-	return e, nil
+	return v.(*entry), nil
 }
 
 // Dispatch routes one event: when the tenant is serving, its Activate-time

@@ -23,7 +23,7 @@ func (p *keyedProc) ModelKey() uint64 { return p.key }
 // scheduler by calling drainTurn directly and observe its decisions
 // deterministically.
 func workerlessHub(cfg Config) *Hub {
-	h := &Hub{cfg: cfg.withDefaults(), tenants: make(map[string]*tenant)}
+	h := &Hub{cfg: cfg.withDefaults()}
 	h.qcond = sync.NewCond(&h.qmu)
 	return h
 }
@@ -106,7 +106,11 @@ func TestExtractGroupSameModel(t *testing.T) {
 	}
 	// Every submitted event was processed exactly once.
 	for i := range keys {
-		p := h.tenants[fmt.Sprintf("t%d", i)].proc.(*keyedProc)
+		tn, err := h.lookup(fmt.Sprintf("t%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := tn.proc.(*keyedProc)
 		if p.handled != 1 {
 			t.Fatalf("t%d handled %d events, want 1", i, p.handled)
 		}

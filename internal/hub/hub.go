@@ -6,10 +6,10 @@
 // Each tenant queue has an explicit backpressure policy — Block, DropOldest,
 // or Reject — and the hub keeps per-tenant and global runtime counters
 // (ingested, processed, alarms, drops, rejects, errors, queue depth,
-// p50/p99 processing latency) exposed through Stats. Update pauses a
-// tenant's stream between events to hot-swap its processor (or mutate it in
-// place, e.g. swapping a retrained model into a monitor) without losing
-// queued or in-flight events.
+// p50/p99 of sampled processing latency) exposed through Stats. Update
+// pauses a tenant's stream between events to hot-swap its processor (or
+// mutate it in place, e.g. swapping a retrained model into a monitor)
+// without losing queued or in-flight events.
 package hub
 
 import (
@@ -141,9 +141,6 @@ type Config struct {
 	// tenant before yielding the worker, bounding the latency a busy
 	// tenant can inflict on its neighbours. Defaults to 64.
 	BatchSize int
-	// LatencySamples sizes the per-tenant ring of recent processing
-	// latencies backing the p50/p99 stats. Defaults to 512.
-	LatencySamples int
 	// QuarantineAfter is the consecutive-failure count (per-event errors
 	// and recovered panics) that trips a tenant's circuit breaker: the
 	// tenant's queue is flushed and submissions are refused with
@@ -192,9 +189,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
-	}
-	if c.LatencySamples <= 0 {
-		c.LatencySamples = 512
 	}
 	if c.QuarantineAfter == 0 {
 		c.QuarantineAfter = 8
@@ -278,15 +272,22 @@ type tenant struct {
 	panics    atomic.Uint64
 	shed      atomic.Uint64 // events refused or discarded by quarantine
 	updates   atomic.Uint64 // successful Update calls (model swaps et al.)
-	lat       *latencyRing
+
+	// ticks counts processed events to pick the 1-in-sampleEvery timed
+	// ones; guarded by procMu.
+	ticks uint64
+	lat   latencyHist
 }
 
 // Hub hosts many tenants over a shared worker pool.
 type Hub struct {
 	cfg Config
 
-	mu      sync.RWMutex
-	tenants map[string]*tenant
+	// tenants maps name → *tenant. Submit and the other per-tenant calls
+	// read it lock-free; mu serializes its writers (Register, Deregister)
+	// against each other and against Close's drain sweep.
+	mu      sync.Mutex
+	tenants sync.Map
 
 	// Unbounded FIFO run queue of tenants with pending work. A tenant
 	// appears at most once (the scheduled flag), so the queue length is
@@ -306,7 +307,7 @@ type Hub struct {
 
 // New starts a hub and its worker pool.
 func New(cfg Config) *Hub {
-	h := &Hub{cfg: cfg.withDefaults(), tenants: make(map[string]*tenant)}
+	h := &Hub{cfg: cfg.withDefaults()}
 	h.qcond = sync.NewCond(&h.qmu)
 	h.wg.Add(h.cfg.Workers)
 	for i := 0; i < h.cfg.Workers; i++ {
@@ -344,7 +345,6 @@ func (h *Hub) Register(name string, p Processor, cfg TenantConfig) error {
 		policy:  policy,
 		proc:    p,
 		onError: cfg.OnError,
-		lat:     newLatencyRing(h.cfg.LatencySamples),
 	}
 	t.notFull = sync.NewCond(&t.mu)
 	if mk, ok := p.(ModelKeyed); ok {
@@ -359,10 +359,10 @@ func (h *Hub) Register(name string, p Processor, cfg TenantConfig) error {
 	if h.closed.Load() {
 		return ErrClosed
 	}
-	if _, dup := h.tenants[name]; dup {
+	if _, dup := h.tenants.Load(name); dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateTenant, name)
 	}
-	h.tenants[name] = t
+	h.tenants.Store(name, t)
 	return nil
 }
 
@@ -370,12 +370,12 @@ func (h *Hub) Register(name string, p Processor, cfg TenantConfig) error {
 // any producers blocked on its queue.
 func (h *Hub) Deregister(name string) error {
 	h.mu.Lock()
-	t := h.tenants[name]
-	delete(h.tenants, name)
+	v, ok := h.tenants.LoadAndDelete(name)
 	h.mu.Unlock()
-	if t == nil {
+	if !ok {
 		return fmt.Errorf("%w %q", ErrUnknownTenant, name)
 	}
+	t := v.(*tenant)
 	t.mu.Lock()
 	t.closed = true
 	t.head, t.n = 0, 0
@@ -384,15 +384,23 @@ func (h *Hub) Deregister(name string) error {
 	return nil
 }
 
-// lookup fetches a live tenant by name.
+// lookup fetches a live tenant by name without taking a lock.
 func (h *Hub) lookup(name string) (*tenant, error) {
-	h.mu.RLock()
-	t := h.tenants[name]
-	h.mu.RUnlock()
-	if t == nil {
+	v, ok := h.tenants.Load(name)
+	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownTenant, name)
 	}
-	return t, nil
+	return v.(*tenant), nil
+}
+
+// snapshotTenants returns the hosted tenants in no particular order.
+func (h *Hub) snapshotTenants() []*tenant {
+	var out []*tenant
+	h.tenants.Range(func(_, v any) bool {
+		out = append(out, v.(*tenant))
+		return true
+	})
+	return out
 }
 
 // Submit enqueues one event for a tenant. Under a full queue the tenant's
@@ -603,9 +611,16 @@ func (t *tenant) runBatch(max int) {
 	t.mu.Unlock()
 
 	for i := range batch {
-		start := time.Now()
+		var start time.Time
+		timed := t.ticks%sampleEvery == 0
+		t.ticks++
+		if timed {
+			start = time.Now()
+		}
 		alarmed, err := t.handleOne(batch[i])
-		t.lat.record(time.Since(start))
+		if timed {
+			t.lat.record(time.Since(start))
+		}
 		t.processed.Add(1)
 		if alarmed {
 			t.alarms.Add(1)
@@ -781,13 +796,14 @@ func (h *Hub) CloseWithin(d time.Duration) error {
 	}
 	// Release producers blocked on full queues; they observe the closed
 	// hub and fail their Submit.
-	h.mu.RLock()
-	for _, t := range h.tenants {
+	h.mu.Lock()
+	tenants := h.snapshotTenants()
+	h.mu.Unlock()
+	for _, t := range tenants {
 		t.mu.Lock()
 		t.notFull.Broadcast()
 		t.mu.Unlock()
 	}
-	h.mu.RUnlock()
 	h.qmu.Lock()
 	h.stopping = true
 	h.qmu.Unlock()
@@ -798,9 +814,9 @@ func (h *Hub) CloseWithin(d time.Duration) error {
 		h.wg.Wait()
 		// Sweep events that slipped in between the closed check of a
 		// racing Submit and worker shutdown.
-		h.mu.RLock()
-		defer h.mu.RUnlock()
-		for _, t := range h.tenants {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		for _, t := range h.snapshotTenants() {
 			for {
 				t.mu.Lock()
 				pending := t.n
@@ -824,8 +840,9 @@ func (h *Hub) CloseWithin(d time.Duration) error {
 	}
 }
 
-// TenantStats is one tenant's runtime counters. Latency percentiles cover
-// the most recent LatencySamples processed events.
+// TenantStats is one tenant's runtime counters. P50 and P99 are the
+// percentiles of Latency: the processing time of one event in sampleEvery
+// (16) since registration, within the histogram's 12.5% bucket error.
 type TenantStats struct {
 	Tenant     string
 	Ingested   uint64
@@ -848,6 +865,9 @@ type TenantStats struct {
 	// Updates counts successful stream-pausing Update calls — model hot
 	// swaps, checkpoints, flushes.
 	Updates uint64
+	// Latency is the sampled processing-time histogram behind P50/P99;
+	// merging histograms is how totals across tenants and hubs are built.
+	Latency Histogram
 }
 
 // Stats is a point-in-time snapshot of the hub's counters.
@@ -855,8 +875,9 @@ type Stats struct {
 	// Tenants holds one entry per hosted tenant, sorted by name.
 	Tenants []TenantStats
 	// Total aggregates every tenant (its Tenant field is empty; its
-	// latency percentiles are computed over all tenants' samples; its
-	// Health is Quarantined when any tenant is not Healthy).
+	// Latency merges every tenant's histogram and its percentiles come
+	// from that merge; its Health is Quarantined when any tenant is not
+	// Healthy).
 	Total   TenantStats
 	Workers int
 	// Grouped counts tenants drained as same-model group followers — the
@@ -865,15 +886,14 @@ type Stats struct {
 	Grouped uint64
 }
 
-// statsSnapshot captures one tenant's counters plus its raw latency
-// samples (for cross-tenant percentile aggregation).
-func (t *tenant) statsSnapshot() (TenantStats, []float64) {
+// statsSnapshot captures one tenant's counters and latency histogram.
+func (t *tenant) statsSnapshot() TenantStats {
 	t.mu.Lock()
 	depth := t.n
 	health := t.health
 	lastErr := t.lastErr
 	t.mu.Unlock()
-	samples := t.lat.snapshot()
+	lat := t.lat.snapshot()
 	return TenantStats{
 		Tenant:     t.name,
 		Ingested:   t.ingested.Load(),
@@ -883,14 +903,15 @@ func (t *tenant) statsSnapshot() (TenantStats, []float64) {
 		Rejected:   t.rejected.Load(),
 		Errors:     t.errs.Load(),
 		QueueDepth: depth,
-		P50:        percentile(samples, 50),
-		P99:        percentile(samples, 99),
+		P50:        lat.Percentile(50),
+		P99:        lat.Percentile(99),
 		Health:     health,
 		Panics:     t.panics.Load(),
 		Shed:       t.shed.Load(),
 		LastError:  lastErr,
 		Updates:    t.updates.Load(),
-	}, samples
+		Latency:    lat,
+	}
 }
 
 // TenantStats snapshots a single tenant's runtime counters without walking
@@ -901,25 +922,17 @@ func (h *Hub) TenantStats(name string) (TenantStats, error) {
 	if err != nil {
 		return TenantStats{}, err
 	}
-	ts, _ := t.statsSnapshot()
-	return ts, nil
+	return t.statsSnapshot(), nil
 }
 
 // Stats snapshots the hub's runtime counters.
 func (h *Hub) Stats() Stats {
-	h.mu.RLock()
-	tenants := make([]*tenant, 0, len(h.tenants))
-	for _, t := range h.tenants {
-		tenants = append(tenants, t)
-	}
-	h.mu.RUnlock()
+	tenants := h.snapshotTenants()
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
 
 	s := Stats{Tenants: make([]TenantStats, 0, len(tenants)), Workers: h.cfg.Workers, Grouped: h.grouped.Load()}
-	var all []float64
 	for _, t := range tenants {
-		ts, samples := t.statsSnapshot()
-		all = append(all, samples...)
+		ts := t.statsSnapshot()
 		s.Tenants = append(s.Tenants, ts)
 		s.Total.Ingested += ts.Ingested
 		s.Total.Processed += ts.Processed
@@ -931,11 +944,12 @@ func (h *Hub) Stats() Stats {
 		s.Total.Panics += ts.Panics
 		s.Total.Shed += ts.Shed
 		s.Total.Updates += ts.Updates
+		s.Total.Latency = s.Total.Latency.Merge(ts.Latency)
 		if ts.Health != Healthy {
 			s.Total.Health = Quarantined
 		}
 	}
-	s.Total.P50 = percentile(all, 50)
-	s.Total.P99 = percentile(all, 99)
+	s.Total.P50 = s.Total.Latency.Percentile(50)
+	s.Total.P99 = s.Total.Latency.Percentile(99)
 	return s
 }

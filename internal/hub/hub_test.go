@@ -443,7 +443,7 @@ func TestCloseDrainsAndIsIdempotent(t *testing.T) {
 
 func TestStatsLatencyPercentiles(t *testing.T) {
 	p := &recorder{}
-	h := New(Config{Workers: 1, LatencySamples: 16})
+	h := New(Config{Workers: 1})
 	if err := h.Register("home", p, TenantConfig{}); err != nil {
 		t.Fatal(err)
 	}

@@ -419,23 +419,29 @@ func (s *Server) handle(nc net.Conn) {
 	s.conns[c] = struct{}{}
 	s.mu.Unlock()
 	go c.writeLoop()
+	authed := false
 	defer func() {
 		c.finish()
 		s.teardown(c)
+		// A connection stops counting as active only once teardown has
+		// detached it from its session: from then on the session banks
+		// alarms instead of queueing them on this dead connection.
+		if authed {
+			s.active.Add(-1)
+		}
 	}()
 
 	r := NewReader(nc, s.cfg.MaxFrame)
 	nc.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
 	sessionIntent, err := s.hello(c, r)
 	if err != nil {
-		s.authFailures.Add(1)
 		return
 	}
 	// The Hello deadline is cleared symmetrically: the read loop below
 	// re-arms its own idle deadline before every read.
 	nc.SetReadDeadline(time.Time{})
 	s.active.Add(1)
-	defer s.active.Add(-1)
+	authed = true
 	s.readLoop(c, r, sessionIntent)
 }
 
@@ -497,36 +503,38 @@ func (c *srvConn) nackClose(n Nack) {
 }
 
 // hello performs the authentication handshake; any error means the
-// connection is refused (a Nack with the reason was sent when possible).
+// connection is refused (a Nack with the reason was sent when possible)
+// and counted as an auth failure.
 // sessionIntent reports a client that announced it will Resume: its alarm
 // route is claimed by the session attach instead of here, so no alarm can
 // slip past the session's replay ring between Welcome and Resume.
 func (s *Server) hello(c *srvConn, r *Reader) (sessionIntent bool, err error) {
 	t, p, err := s.nextFrame(c, r)
 	if err != nil {
+		s.authFailures.Add(1)
 		return false, err
 	}
 	if t != FrameHello {
-		c.nackClose(Nack{Code: CodeProtocol, Detail: fmt.Sprintf("expected hello, got %s", t)})
+		s.refuse(c, Nack{Code: CodeProtocol, Detail: fmt.Sprintf("expected hello, got %s", t)})
 		return false, fmt.Errorf("%w: first frame %s", ErrBadFrame, t)
 	}
 	ver, token, tenant, sessionIntent, err := ParseHello(p)
 	if err != nil {
-		c.nackClose(Nack{Code: CodeProtocol, Detail: "malformed hello"})
+		s.refuse(c, Nack{Code: CodeProtocol, Detail: "malformed hello"})
 		return false, err
 	}
 	if ver != Version {
-		c.nackClose(Nack{Code: CodeProtocol, Detail: fmt.Sprintf("protocol version %d, want %d", ver, Version)})
+		s.refuse(c, Nack{Code: CodeProtocol, Detail: fmt.Sprintf("protocol version %d, want %d", ver, Version)})
 		return false, fmt.Errorf("%w: version %d", ErrBadFrame, ver)
 	}
 	if err := s.cfg.Backend.Authenticate(token, tenant); err != nil {
-		c.nackClose(Nack{Code: s.cfg.Classify(err), Detail: "authentication rejected"})
+		s.refuse(c, Nack{Code: s.cfg.Classify(err), Detail: "authentication rejected"})
 		s.logf("wire: refused connection from %s for tenant %q: %v", c.nc.RemoteAddr(), tenant, err)
 		return false, err
 	}
 	if !sessionIntent {
 		if err := s.claimAlarms(tenant, c); err != nil {
-			c.nackClose(Nack{Code: s.cfg.Classify(err), Detail: err.Error()})
+			s.refuse(c, Nack{Code: s.cfg.Classify(err), Detail: err.Error()})
 			s.logf("wire: refused connection from %s: %v", c.nc.RemoteAddr(), err)
 			return false, err
 		}
@@ -534,6 +542,13 @@ func (s *Server) hello(c *srvConn, r *Reader) (sessionIntent bool, err error) {
 	c.tenant = tenant
 	c.send(AppendWelcome(nil, uint32(s.cfg.MaxFrame)))
 	return sessionIntent, nil
+}
+
+// refuse counts a refused Hello, then sends its Nack: the count is in
+// place before the client can observe the refusal.
+func (s *Server) refuse(c *srvConn, n Nack) {
+	s.authFailures.Add(1)
+	c.nackClose(n)
 }
 
 // claimAlarms routes the tenant's alarms to this plain connection,
