@@ -28,11 +28,12 @@ race:
 # Chaos tier: deterministic fault-schedule tests (internal/faults driving
 # the supervised hub), the checkpoint kill/resume equivalence tests, the
 # model-lifecycle swap/drift stress and soak tests, the fleet
-# router/migration suite, and the wire-protocol server tests, all under the
-# race detector.
+# router/migration suite, the wire-protocol server tests, and the shared
+# exactly-once stream primitives (internal/stream), all under the race
+# detector.
 chaos: fleet-soak serve-smoke cluster-smoke netchaos
-	$(GO) test -race -run 'Chaos|Checkpoint|Quarantine|Wedged|Panic|CloseRace|Stress|SIGTERM|Adaptive|Soak|Fleet|Migrat|Router|Ring|Wire|Server|Session' \
-		./internal/hub ./internal/faults ./internal/fleet ./internal/wire ./cmd/causaliot .
+	$(GO) test -race -run 'Chaos|Checkpoint|Quarantine|Wedged|Panic|CloseRace|Stress|SIGTERM|Adaptive|Soak|Fleet|Migrat|Router|Ring|Wire|Server|Session|Stream' \
+		./internal/hub ./internal/faults ./internal/fleet ./internal/wire ./internal/stream ./cmd/causaliot .
 
 # Network-chaos tier: the seeded TCP fault proxy (internal/netchaos) driving
 # wire sessions through kills, corruptions, trickles, flaps, and partitions.
@@ -66,12 +67,16 @@ cluster-smoke:
 	$(GO) test -race -run 'TestCluster|TestWorker|TestProxy' -v . ./internal/cluster
 	$(GO) test -race -run 'TestServeCluster' -v ./cmd/causaliot
 
-# Short fuzz pass over the model and checkpoint deserializers (the
-# error-never-panic contract); extend -fuzztime for a deeper run.
+# Short fuzz pass over the model and checkpoint deserializers and the
+# network frame decoders (the error-never-panic contract), and over the
+# exactly-once stream state machines (exactly-once admission, in-order or
+# counted alarms); extend -fuzztime for a deeper run.
 fuzz:
 	$(GO) test -fuzz FuzzLoad -fuzztime 10s .
 	$(GO) test -fuzz FuzzRestoreMonitor -fuzztime 10s .
 	$(GO) test -fuzz FuzzRestoreLifecycle -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzFrameDecoders -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzStream -fuzztime 10s ./internal/stream
 
 # Bench bitrot smoke: compile and run every benchmark exactly once (no
 # timing) so a refactor can't silently strand a benchmark that no longer

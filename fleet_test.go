@@ -495,8 +495,8 @@ func TestFleetCloseWithinMigrationInFlight(t *testing.T) {
 	}
 }
 
-// TestHubExportUnified pins the collapsed export API: Export writes the
-// same bytes the deprecated SaveModel/Checkpoint/Snapshot trio wrote, and
+// TestHubExportUnified pins the collapsed export API: a combined Export
+// writes the same bytes as separate model and state exports, and Export
 // refuses a destination-less call.
 func TestHubExportUnified(t *testing.T) {
 	sys := mustTrain(t, Config{Tau: 2})
@@ -539,28 +539,11 @@ func TestHubExportUnified(t *testing.T) {
 	exBoth.Write(m2.Bytes())
 	exBoth.Write(s2.Bytes())
 
-	var legacyModel, legacyState bytes.Buffer
-	if err := h.SaveModel("home", &legacyModel); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Checkpoint("home", &legacyState); err != nil {
-		t.Fatal(err)
-	}
-	var snapModel, snapState bytes.Buffer
-	if err := h.Snapshot("home", &snapModel, &snapState); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(exModel.Bytes(), legacyModel.Bytes()) || !bytes.Equal(exModel.Bytes(), snapModel.Bytes()) {
-		t.Error("Export model bytes diverge from the deprecated writers")
-	}
-	if !bytes.Equal(exState.Bytes(), legacyState.Bytes()) || !bytes.Equal(exState.Bytes(), snapState.Bytes()) {
-		t.Error("Export state bytes diverge from the deprecated writers")
-	}
 	var both bytes.Buffer
-	both.Write(snapModel.Bytes())
-	both.Write(snapState.Bytes())
+	both.Write(exModel.Bytes())
+	both.Write(exState.Bytes())
 	if !bytes.Equal(exBoth.Bytes(), both.Bytes()) {
-		t.Error("combined Export diverges from Snapshot")
+		t.Error("combined Export diverges from separate model and state exports")
 	}
 
 	// A model+state pair restores into a monitor that resumes cleanly.

@@ -3,7 +3,6 @@ package causaliot
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"sync"
 	"sync/atomic"
@@ -489,25 +488,6 @@ func (h *Hub) Export(tenant string, opts ExportOptions) error {
 	})
 }
 
-// SaveModel writes a home's currently served model (see System.Save),
-// serialized with the home's stream.
-//
-// Deprecated: use Export(tenant, ExportOptions{Model: w}). The wrapper
-// will be removed in v1.0; no internal callers remain.
-func (h *Hub) SaveModel(tenant string, w io.Writer) error {
-	return h.Export(tenant, ExportOptions{Model: w})
-}
-
-// Snapshot writes a home's served model and its runtime checkpoint under a
-// single stream pause.
-//
-// Deprecated: use Export(tenant, ExportOptions{Model: model, State:
-// state}). The wrapper will be removed in v1.0; no internal callers
-// remain.
-func (h *Hub) Snapshot(tenant string, model, state io.Writer) error {
-	return h.Export(tenant, ExportOptions{Model: model, State: state})
-}
-
 // Submit enqueues one event for a home. Under a full queue the home's
 // backpressure policy decides: block, drop the oldest queued event, or fail
 // with ErrBackpressure.
@@ -534,15 +514,6 @@ func (h *Hub) Swap(tenant string, sys *System) error {
 		}
 		return tp, nil
 	})
-}
-
-// Checkpoint writes a home's full runtime state (see
-// Monitor.WriteCheckpoint) to w, serialized with the home's stream.
-//
-// Deprecated: use Export(tenant, ExportOptions{State: w}). The wrapper
-// will be removed in v1.0; no internal callers remain.
-func (h *Hub) Checkpoint(tenant string, w io.Writer) error {
-	return h.Export(tenant, ExportOptions{State: w})
 }
 
 // Flush reports a home's partially tracked anomaly chain (if any) through

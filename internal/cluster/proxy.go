@@ -1,3 +1,11 @@
+// Package cluster implements the multi-process shard tier: a Worker serves
+// one process's hub over the wire codec's cluster frame range, and a Proxy
+// is the router-side remote shard that speaks to it — registration and
+// model swap by chunked checkpoint envelope, per-tenant exactly-once event
+// admission under a link-sequence watermark, alarm streaming with a bounded
+// replay ring, quiesce/export/deregister control ops for cross-process live
+// migration, and reconnect-with-resume when the link dies. See DESIGN.md
+// §11 for the protocol and the handoff state machine.
 package cluster
 
 import (
@@ -5,41 +13,46 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sort"
 	"sync"
 	"time"
 
+	"github.com/causaliot/causaliot/internal/stream"
 	"github.com/causaliot/causaliot/internal/wire"
 )
 
+// Cluster link errors.
+var (
+	// ErrLinkDown reports a control operation attempted while the shard
+	// link is degraded (reconnect in progress). Transient: retry after the
+	// link resumes.
+	ErrLinkDown = errors.New("cluster: shard link down")
+	// ErrLinkGaveUp reports a proxy that exhausted its reconnect attempts;
+	// terminal for this proxy.
+	ErrLinkGaveUp = errors.New("cluster: shard link gave up reconnecting")
+	// ErrProxyClosed reports an operation on a closed proxy.
+	ErrProxyClosed = errors.New("cluster: proxy closed")
+	// ErrUnknownTenant reports a tenant the proxy has not registered.
+	ErrUnknownTenant = errors.New("cluster: tenant not registered on this shard")
+	// ErrControlTimeout reports a control op whose reply did not arrive in
+	// time; the link is cut because its state is indeterminate.
+	ErrControlTimeout = errors.New("cluster: control op timed out")
+)
+
 // LinkState is a proxy's shard-link health.
-type LinkState int
+type LinkState = stream.State
 
 const (
 	// LinkConnected: a live link is attached and resumed.
-	LinkConnected LinkState = iota
+	LinkConnected = stream.Connected
 	// LinkDegraded: the link died; reconnects are running and Submit
 	// banks events in the per-tenant windows meanwhile.
-	LinkDegraded
+	LinkDegraded = stream.Degraded
 	// LinkGaveUp: MaxAttempts consecutive reconnects failed; the proxy is
 	// terminally down.
-	LinkGaveUp
+	LinkGaveUp = stream.GaveUp
 )
-
-func (s LinkState) String() string {
-	switch s {
-	case LinkConnected:
-		return "connected"
-	case LinkDegraded:
-		return "degraded"
-	case LinkGaveUp:
-		return "gave-up"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
 
 // ProxyConfig tunes a remote shard proxy.
 type ProxyConfig struct {
@@ -160,15 +173,12 @@ type ProxyStats struct {
 type pxTenant struct {
 	name string
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	nextLink uint64
-	window   []wire.BatchEvent // unacked, ascending Link
-	acked    uint64
-	sent     uint64 // highest link written to the current generation's link
-	gen      uint64 // link generation this tenant last resumed on
-	reject   bool   // Reject policy: full window refuses instead of blocking
-	dropped  bool   // deregistered; blocked Submits must bail
+	mu      sync.Mutex
+	cond    *sync.Cond
+	window  *stream.Window[wire.BatchEvent] // unacked, ascending Link
+	gen     uint64                          // link generation this tenant last resumed on
+	reject  bool                            // Reject policy: full window refuses instead of blocking
+	dropped bool                            // deregistered; blocked Submits must bail
 
 	alarmMu  sync.Mutex
 	alarmIdx uint64 // highest alarm index dispatched
@@ -221,10 +231,9 @@ type Proxy struct {
 	envBytesOut      uint64
 	envBytesIn       uint64
 
-	rng    *rand.Rand
-	rngMu  sync.Mutex
-	wg     sync.WaitGroup
-	closeC chan struct{}
+	backoff *stream.Backoff
+	wg      sync.WaitGroup
+	closeC  chan struct{}
 }
 
 // Open dials the worker and performs the ShardHello handshake. The initial
@@ -238,7 +247,7 @@ func Open(cfg ProxyConfig) (*Proxy, error) {
 		cfg:     cfg,
 		state:   LinkDegraded,
 		tenants: make(map[string]*pxTenant),
-		rng:     rand.New(rand.NewSource(cfg.JitterSeed)),
+		backoff: stream.NewBackoff(cfg.BackoffMin, cfg.BackoffMax, cfg.JitterSeed),
 		closeC:  make(chan struct{}),
 	}
 	l, err := p.dial()
@@ -340,33 +349,25 @@ func (p *Proxy) install(l *link) {
 	p.mu.Unlock()
 	for _, t := range tenants {
 		t.mu.Lock()
-		p.flushTailLocked(l, t)
+		_ = p.sendLocked(l, t, t.window.Unsent())
 		t.gen = gen
 		t.mu.Unlock()
 	}
 	p.notify(LinkConnected)
 }
 
-// flushTailLocked sends every window event above the tenant's sent mark and
-// advances the mark. Callers hold t.mu, which keeps the tail contiguous
-// with any concurrent Submit.
-func (p *Proxy) flushTailLocked(l *link, t *pxTenant) {
-	at := len(t.window)
-	for at > 0 && t.window[at-1].Link > t.sent {
-		at--
-	}
-	for ; at < len(t.window); at += p.cfg.Batch {
-		end := at + p.cfg.Batch
-		if end > len(t.window) {
-			end = len(t.window)
-		}
-		frame, err := wire.AppendSubmitBatch(nil, t.name, t.window[at:end])
+// sendLocked writes evs to l as SubmitBatch frames of at most Batch events.
+// Callers hold t.mu, which keeps the stream contiguous with any concurrent
+// Submit.
+func (p *Proxy) sendLocked(l *link, t *pxTenant, evs []wire.BatchEvent) error {
+	for at := 0; at < len(evs); at += p.cfg.Batch {
+		frame, err := wire.AppendSubmitBatch(nil, t.name, evs[at:min(at+p.cfg.Batch, len(evs))])
 		if err != nil {
-			return
+			return err
 		}
-		l.send(frame)
+		l.Send(frame)
 	}
-	t.sent = t.nextLink
+	return nil
 }
 
 func (p *Proxy) tenantListLocked() []*pxTenant {
@@ -398,7 +399,7 @@ func (p *Proxy) keepalive() {
 		select {
 		case <-tick.C:
 			if l, _ := p.current(); l != nil {
-				l.trySend(wire.AppendPing(nil))
+				l.TrySend(wire.AppendPing(nil))
 			}
 		case <-p.closeC:
 			return
@@ -457,13 +458,13 @@ func (p *Proxy) readLoop(l *link, r *wire.Reader) {
 			if ok.Tenant != "" {
 				p.ackTenant(ok.Tenant, ok.Watermark)
 			}
-			p.completeCtl(ctlResult{ok: ok}, false)
+			p.completeCtl(ctlResult{ok: ok})
 		case wire.FrameShardErr:
 			e, err := wire.ParseShardErr(payload)
 			if err != nil {
 				continue
 			}
-			p.completeCtl(ctlResult{err: e}, false)
+			p.completeCtl(ctlResult{err: e})
 		case wire.FrameEnvelopeChunk:
 			c, err := wire.ParseEnvelopeChunk(payload)
 			if err != nil {
@@ -488,12 +489,12 @@ func (p *Proxy) readLoop(l *link, r *wire.Reader) {
 			pc := p.ctl
 			p.mu.Unlock()
 			if pc != nil && pc.op == wire.OpExport && pc.tenant == tenant {
-				p.completeCtl(ctlResult{model: pc.model, state: pc.state}, false)
+				p.completeCtl(ctlResult{model: pc.model, state: pc.state})
 			}
 		case wire.FrameShardStats:
 			doc := make([]byte, len(payload))
 			copy(doc, payload)
-			p.completeCtl(ctlResult{stats: doc}, false)
+			p.completeCtl(ctlResult{stats: doc})
 		case wire.FramePong:
 			// keepalive echo; nothing to do
 		default:
@@ -518,21 +519,10 @@ func (p *Proxy) ackTenant(tenant string, wm uint64) {
 		return
 	}
 	t.mu.Lock()
-	if wm > t.acked {
-		t.acked = wm
-		t.pruneLocked(wm)
+	if t.window.Ack(wm) {
 		t.cond.Broadcast()
 	}
 	t.mu.Unlock()
-}
-
-func (t *pxTenant) pruneLocked(wm uint64) {
-	keep := 0
-	for ; keep < len(t.window) && t.window[keep].Link <= wm; keep++ {
-	}
-	if keep > 0 {
-		t.window = append(t.window[:0], t.window[keep:]...)
-	}
 }
 
 // dispatchAlarm dedups by alarm index (ring replays may overlap confirmed
@@ -562,14 +552,14 @@ func (p *Proxy) dispatchAlarm(l *link, tenant string, idx uint64, a wire.Alarm) 
 	p.alarmsDispatched++
 	p.mu.Unlock()
 	if frame, err := wire.AppendAlarmStreamAck(nil, tenant, idx); err == nil {
-		l.trySend(frame) // a lost receipt only means a bigger replay later
+		l.TrySend(frame) // a lost receipt only means a bigger replay later
 	}
 }
 
 // linkDied marks the link degraded, fails the in-flight control op, and
 // starts the reconnect loop (unless the proxy is closing).
 func (p *Proxy) linkDied(l *link) {
-	l.finish()
+	l.Finish()
 	p.mu.Lock()
 	if p.closed || p.conn != l {
 		p.mu.Unlock()
@@ -578,15 +568,14 @@ func (p *Proxy) linkDied(l *link) {
 	p.conn = nil
 	p.state = LinkDegraded
 	p.mu.Unlock()
-	p.completeCtl(ctlResult{err: ErrLinkDown}, true)
+	p.completeCtl(ctlResult{err: ErrLinkDown})
 	p.notify(LinkDegraded)
 	p.wg.Add(1)
 	go p.reconnect()
 }
 
-// completeCtl resolves the pending control op. onDeath also covers ops that
-// were registered but whose frames never reached the worker.
-func (p *Proxy) completeCtl(res ctlResult, onDeath bool) {
+// completeCtl resolves the pending control op.
+func (p *Proxy) completeCtl(res ctlResult) {
 	p.mu.Lock()
 	pc := p.ctl
 	if pc == nil {
@@ -595,7 +584,6 @@ func (p *Proxy) completeCtl(res ctlResult, onDeath bool) {
 	}
 	p.ctl = nil
 	p.mu.Unlock()
-	_ = onDeath
 	pc.ch <- res
 }
 
@@ -604,12 +592,7 @@ func (p *Proxy) completeCtl(res ctlResult, onDeath bool) {
 func (p *Proxy) reconnect() {
 	defer p.wg.Done()
 	died := time.Now()
-	for attempt := 0; ; attempt++ {
-		select {
-		case <-time.After(p.backoff(attempt)):
-		case <-p.closeC:
-			return
-		}
+	gaveUp := p.backoff.Retry(p.closeC, p.cfg.MaxAttempts, func() bool {
 		l, err := p.dial()
 		if err == nil {
 			if err = p.resumeAll(l); err == nil {
@@ -617,30 +600,28 @@ func (p *Proxy) reconnect() {
 				p.reconnects++
 				p.mu.Unlock()
 				p.logf("cluster: shard %s link resumed after %v", p.cfg.Addr, time.Since(died).Round(time.Millisecond))
-				return
+				return true
 			}
-			l.finish()
+			l.Finish()
 		}
-		if p.isClosed() {
-			return
-		}
-		if attempt+1 >= p.cfg.MaxAttempts {
-			p.mu.Lock()
-			p.gaveUp = true
-			p.state = LinkGaveUp
-			tenants := p.tenantListLocked()
-			p.mu.Unlock()
-			// Wake Submits blocked on full windows; they fail typed.
-			for _, t := range tenants {
-				t.mu.Lock()
-				t.cond.Broadcast()
-				t.mu.Unlock()
-			}
-			p.notify(LinkGaveUp)
-			p.logf("cluster: shard %s link gave up after %d attempts", p.cfg.Addr, p.cfg.MaxAttempts)
-			return
-		}
+		return p.isClosed()
+	})
+	if !gaveUp {
+		return
 	}
+	p.mu.Lock()
+	p.gaveUp = true
+	p.state = LinkGaveUp
+	tenants := p.tenantListLocked()
+	p.mu.Unlock()
+	// Wake Submits blocked on full windows; they fail typed.
+	for _, t := range tenants {
+		t.mu.Lock()
+		t.cond.Broadcast()
+		t.mu.Unlock()
+	}
+	p.notify(LinkGaveUp)
+	p.logf("cluster: shard %s link gave up after %d attempts", p.cfg.Addr, p.cfg.MaxAttempts)
 }
 
 // resumeAll re-adopts every tenant on a fresh link: ResumeTenant returns
@@ -676,32 +657,18 @@ func (p *Proxy) resumeAll(l *link) error {
 			}
 			return err
 		}
+		// Retransmit the unacked tail under t.mu, so a concurrent Submit
+		// cannot interleave ahead of it.
 		t.mu.Lock()
-		if res.ok.Watermark > t.acked {
-			t.acked = res.ok.Watermark
-			t.pruneLocked(res.ok.Watermark)
-		}
-		// Retransmit the unacked tail in batches, still under t.mu so a
-		// concurrent Submit cannot interleave ahead of the tail.
-		for at := 0; at < len(t.window); at += p.cfg.Batch {
-			end := at + p.cfg.Batch
-			if end > len(t.window) {
-				end = len(t.window)
-			}
-			bframe, err := wire.AppendSubmitBatch(nil, t.name, t.window[at:end])
-			if err != nil {
-				t.mu.Unlock()
-				return err
-			}
-			p.mu.Lock()
-			p.retransmits += uint64(end - at)
-			p.mu.Unlock()
-			l.send(bframe)
-		}
-		t.sent = t.nextLink
+		tail := t.window.Resume(res.ok.Watermark)
+		err = p.sendLocked(l, t, tail)
 		t.cond.Broadcast()
 		t.mu.Unlock()
+		if err != nil {
+			return err
+		}
 		p.mu.Lock()
+		p.retransmits += uint64(len(tail))
 		p.resumes++
 		p.mu.Unlock()
 	}
@@ -719,7 +686,7 @@ func (p *Proxy) roundTrip(l *link, pc *pendingCtl, frames ...[]byte) (ctlResult,
 	p.ctl = pc
 	p.mu.Unlock()
 	for _, f := range frames {
-		l.send(f)
+		l.Send(f)
 	}
 	select {
 	case res := <-pc.ch:
@@ -770,7 +737,12 @@ func (p *Proxy) Register(tenant string, model, state []byte, queue uint32, polic
 	if err != nil {
 		return err
 	}
-	t := &pxTenant{name: tenant, reject: reject, sink: sink}
+	t := &pxTenant{
+		name:   tenant,
+		window: stream.NewWindow(p.cfg.Window, func(be wire.BatchEvent) uint64 { return be.Link }),
+		reject: reject,
+		sink:   sink,
+	}
 	t.cond = sync.NewCond(&t.mu)
 	p.mu.Lock()
 	if _, dup := p.tenants[tenant]; dup {
@@ -855,7 +827,7 @@ func (p *Proxy) Submit(tenant string, ev wire.Event) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for len(t.window) >= p.cfg.Window {
+	for t.window.Full() {
 		if t.dropped {
 			return ErrUnknownTenant
 		}
@@ -876,12 +848,11 @@ func (p *Proxy) Submit(tenant string, ev wire.Event) error {
 	if t.dropped {
 		return ErrUnknownTenant
 	}
-	t.nextLink++
-	t.window = append(t.window, wire.BatchEvent{Link: t.nextLink, Ev: ev})
+	t.window.Push(wire.BatchEvent{Link: t.window.Last() + 1, Ev: ev})
 	if l, gen := p.current(); l != nil && gen == t.gen {
 		// A dropped send here is not a loss: the event stays in the window
 		// and the next resume retransmits it.
-		p.flushTailLocked(l, t)
+		_ = p.sendLocked(l, t, t.window.Unsent())
 	}
 	return nil
 }
@@ -968,7 +939,7 @@ func (p *Proxy) StatsDoc() ([]byte, error) {
 // Ping nudges the live link (keepalive + ack flush); a no-op while down.
 func (p *Proxy) Ping() {
 	if l, _ := p.current(); l != nil {
-		l.trySend(wire.AppendPing(nil))
+		l.TrySend(wire.AppendPing(nil))
 	}
 }
 
@@ -980,7 +951,7 @@ func (p *Proxy) Pending() int {
 	n := 0
 	for _, t := range tenants {
 		t.mu.Lock()
-		n += len(t.window)
+		n += t.window.Len()
 		t.mu.Unlock()
 	}
 	return n
@@ -1013,22 +984,6 @@ func (p *Proxy) Stats() ProxyStats {
 	}
 }
 
-// backoff computes the wait before reconnect attempt n: BackoffMin doubled
-// per attempt, capped at BackoffMax, plus up to 50% deterministic jitter.
-func (p *Proxy) backoff(attempt int) time.Duration {
-	d := p.cfg.BackoffMin
-	for i := 0; i < attempt && d < p.cfg.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > p.cfg.BackoffMax {
-		d = p.cfg.BackoffMax
-	}
-	p.rngMu.Lock()
-	j := time.Duration(p.rng.Int63n(int64(d)/2 + 1))
-	p.rngMu.Unlock()
-	return d + j
-}
-
 // Close tears the proxy down: stops the reconnect machinery, closes the
 // live link, wakes blocked Submits, and waits for all goroutines.
 // Idempotent.
@@ -1045,10 +1000,10 @@ func (p *Proxy) Close() error {
 	tenants := p.tenantListLocked()
 	close(p.closeC)
 	p.mu.Unlock()
-	p.completeCtl(ctlResult{err: ErrProxyClosed}, true)
+	p.completeCtl(ctlResult{err: ErrProxyClosed})
 	if l != nil {
-		l.send(wire.AppendBye(nil))
-		l.finish()
+		l.Send(wire.AppendBye(nil))
+		l.Finish()
 	}
 	for _, t := range tenants {
 		t.mu.Lock()
@@ -1057,4 +1012,29 @@ func (p *Proxy) Close() error {
 	}
 	p.wg.Wait()
 	return nil
+}
+
+// link is one shard link: the wire outbound Conn plus the raw connection
+// the reader and the deadlines work on.
+type link struct {
+	*wire.Conn
+	nc net.Conn
+}
+
+func newLink(nc net.Conn, buffer int, writeTimeout time.Duration, onStall func()) *link {
+	return &link{Conn: wire.NewConn(nc, buffer, writeTimeout, onStall), nc: nc}
+}
+
+// chunked splits b into ChunkSize slices (the last may be shorter); a nil
+// or empty b yields no chunks.
+func chunked(b []byte, size int) [][]byte {
+	var out [][]byte
+	for len(b) > size {
+		out = append(out, b[:size])
+		b = b[size:]
+	}
+	if len(b) > 0 {
+		out = append(out, b)
+	}
+	return out
 }

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/causaliot/causaliot/internal/stream"
 	"github.com/causaliot/causaliot/internal/wire"
 )
 
@@ -131,7 +132,8 @@ type WorkerStats struct {
 	Resumes uint64 `json:"resumes"`
 	// Alarms counts alarm frames pushed on a live link, AlarmsBuffered
 	// those banked while the link was down (or its queue full),
-	// AlarmReplays ring entries re-pushed on resume or quiesce, and
+	// AlarmReplays ring entries sent later (on resume or quiesce, or once
+	// a full queue drained), and
 	// AlarmsDropped ring overflow evictions — real, counted loss.
 	Alarms         uint64 `json:"alarms"`
 	AlarmsBuffered uint64 `json:"alarms_buffered"`
@@ -147,30 +149,15 @@ type WorkerStats struct {
 	Backend json.RawMessage `json:"backend,omitempty"`
 }
 
-// bankedAlarm is one ring entry: alarm index plus the pre-encoded
-// AlarmStream frame, so replay is a straight enqueue.
-type bankedAlarm struct {
-	idx   uint64
-	frame []byte
-}
-
 // wkTenant is the durable per-tenant state that outlives any one link: the
-// decided watermark for exactly-once admission and the unconfirmed-alarm
-// replay ring. The two mutexes split the two concerns exactly like the wire
-// server's session: evMu is held across Backend.Submit (which may block
-// under a Block policy); the alarm sink takes only alarmMu.
+// decided watermark for exactly-once admission and the bank of
+// unconfirmed alarms replayed on resume. The watermark's lock is held
+// across Backend.Submit (which may block under a Block policy); the alarm
+// sink takes only the bank's.
 type wkTenant struct {
 	name string
-
-	evMu      sync.Mutex
-	watermark uint64 // highest link sequence decided (admitted or nacked)
-	sinceAck  int
-
-	alarmMu  sync.Mutex
-	link     *link // link currently attached; nil while orphaned
-	alarmSeq uint64
-	ring     []bankedAlarm
-	ringCap  int
+	wm   *stream.Watermark
+	bank *stream.Bank
 }
 
 // pendingEnvelope accumulates RegisterTenant chunks until EnvelopeDone.
@@ -197,10 +184,7 @@ type Worker struct {
 	nacks            atomic.Uint64
 	duplicates       atomic.Uint64
 	resumes          atomic.Uint64
-	alarms           atomic.Uint64
-	alarmsBuffered   atomic.Uint64
-	alarmReplays     atomic.Uint64
-	alarmsDropped    atomic.Uint64
+	alarms           stream.Counters
 	envelopeBytesIn  atomic.Uint64
 	envelopeBytesOut atomic.Uint64
 	evictedIdle      atomic.Uint64
@@ -305,10 +289,10 @@ func (w *Worker) Stats() WorkerStats {
 		Nacks:            w.nacks.Load(),
 		Duplicates:       w.duplicates.Load(),
 		Resumes:          w.resumes.Load(),
-		Alarms:           w.alarms.Load(),
-		AlarmsBuffered:   w.alarmsBuffered.Load(),
-		AlarmReplays:     w.alarmReplays.Load(),
-		AlarmsDropped:    w.alarmsDropped.Load(),
+		Alarms:           w.alarms.Pushed.Load(),
+		AlarmsBuffered:   w.alarms.Banked.Load(),
+		AlarmReplays:     w.alarms.Replayed.Load(),
+		AlarmsDropped:    w.alarms.Dropped.Load(),
 		EnvelopeBytesIn:  w.envelopeBytesIn.Load(),
 		EnvelopeBytesOut: w.envelopeBytesOut.Load(),
 		EvictedIdle:      w.evictedIdle.Load(),
@@ -324,13 +308,13 @@ func (w *Worker) handle(nc net.Conn) {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		l.finish()
+		l.Finish()
 		return
 	}
 	w.links[l] = struct{}{}
 	w.mu.Unlock()
 	defer func() {
-		l.finish()
+		l.Finish()
 		w.teardown(l)
 	}()
 
@@ -357,11 +341,7 @@ func (w *Worker) teardown(l *link) {
 	}
 	w.mu.Unlock()
 	for _, t := range tenants {
-		t.alarmMu.Lock()
-		if t.link == l {
-			t.link = nil
-		}
-		t.alarmMu.Unlock()
+		t.bank.Detach(l)
 	}
 }
 
@@ -372,7 +352,7 @@ func (w *Worker) errClose(l *link, e wire.ShardErr) {
 	if err != nil {
 		return
 	}
-	l.sendWait(frame, time.Second)
+	l.SendWait(frame, time.Second)
 }
 
 func (w *Worker) hello(l *link, r *wire.Reader) error {
@@ -398,7 +378,7 @@ func (w *Worker) hello(l *link, r *wire.Reader) error {
 		w.logf("cluster: refused router link from %s (%q): %v", l.nc.RemoteAddr(), router, err)
 		return err
 	}
-	l.send(wire.AppendShardWelcome(nil, uint32(w.cfg.MaxFrame)))
+	l.Send(wire.AppendShardWelcome(nil, uint32(w.cfg.MaxFrame)))
 	return nil
 }
 
@@ -409,89 +389,31 @@ func (w *Worker) tenant(name string) *wkTenant {
 	return w.tenants[name]
 }
 
-// alarmSink banks every alarm in the tenant's replay ring and pushes it on
-// the attached link when one is listening. Runs on the tenant's stream
-// thread: never blocks, never touches evMu.
-func (w *Worker) alarmSink(t *wkTenant) func(wire.Alarm) {
-	return func(a wire.Alarm) {
-		t.alarmMu.Lock()
-		t.alarmSeq++
-		idx := t.alarmSeq
-		frame, err := wire.AppendAlarmStream(nil, t.name, idx, a)
-		if err != nil {
-			t.alarmMu.Unlock()
-			w.alarmsDropped.Add(1)
-			return
-		}
-		if len(t.ring) >= t.ringCap {
-			// Every ring entry is unconfirmed, so an eviction is a real,
-			// counted loss — never silent.
-			t.ring = append(t.ring[:0], t.ring[1:]...)
-			w.alarmsDropped.Add(1)
-		}
-		t.ring = append(t.ring, bankedAlarm{idx: idx, frame: frame})
-		l := t.link
-		t.alarmMu.Unlock()
-		if l == nil {
-			w.alarmsBuffered.Add(1)
-			return
-		}
-		if l.trySend(frame) {
-			w.alarms.Add(1)
-			return
-		}
-		// Queue full on a live link: stays banked, replayed on the next
-		// resume or quiesce.
-		w.alarmsBuffered.Add(1)
-	}
-}
-
-// pruneRingLocked drops ring entries the router has confirmed. Callers
-// hold alarmMu.
-func (t *wkTenant) pruneRingLocked(idx uint64) {
-	keep := 0
-	for ; keep < len(t.ring) && t.ring[keep].idx <= idx; keep++ {
-	}
-	if keep > 0 {
-		t.ring = append(t.ring[:0], t.ring[keep:]...)
-	}
-}
-
-// replayRing re-pushes every unconfirmed ring alarm on l in order. The
-// router dedups by alarm index, so a replay can never double-deliver; it
-// runs on resume (link recovery) and before a quiesce reply (so no alarm is
-// stranded banked at a migration boundary).
-func (w *Worker) replayRing(t *wkTenant, l *link) {
-	t.alarmMu.Lock()
-	frames := make([][]byte, len(t.ring))
-	for i, ba := range t.ring {
-		frames[i] = ba.frame
-	}
-	t.alarmMu.Unlock()
-	for _, f := range frames {
-		w.alarmReplays.Add(1)
-		l.send(f)
-	}
-}
-
 // ok replies TenantOK for op, carrying the tenant's current watermark and
 // alarm index (zero for tenant-less ops).
 func (w *Worker) ok(l *link, op wire.ShardOp, t *wkTenant, tenant string) {
+	var aidx uint64
+	if t != nil {
+		aidx = t.bank.Index()
+	}
+	if frame := w.okFrame(op, t, tenant, aidx); frame != nil {
+		l.Send(frame)
+	}
+}
+
+// okFrame encodes the TenantOK for op at alarm index aidx; the reply
+// doubles as a cumulative ack of the tenant's watermark.
+func (w *Worker) okFrame(op wire.ShardOp, t *wkTenant, tenant string, aidx uint64) []byte {
 	reply := wire.TenantOK{Op: op, Tenant: tenant}
 	if t != nil {
-		t.evMu.Lock()
-		reply.Watermark = t.watermark
-		t.sinceAck = 0 // the reply doubles as a cumulative ack
-		t.evMu.Unlock()
-		t.alarmMu.Lock()
-		reply.AlarmIdx = t.alarmSeq
-		t.alarmMu.Unlock()
+		reply.Watermark = t.wm.AckNow()
+		reply.AlarmIdx = aidx
 	}
 	frame, err := wire.AppendTenantOK(nil, reply)
 	if err != nil {
-		return
+		return nil
 	}
-	l.send(frame)
+	return frame
 }
 
 func (w *Worker) fail(l *link, op wire.ShardOp, tenant string, err error) {
@@ -499,7 +421,7 @@ func (w *Worker) fail(l *link, op wire.ShardOp, tenant string, err error) {
 	if ferr != nil {
 		return
 	}
-	l.send(frame)
+	l.Send(frame)
 }
 
 // failUnknown reports a control op against a tenant this worker does not
@@ -510,7 +432,7 @@ func (w *Worker) failUnknown(l *link, op wire.ShardOp, tenant string) {
 	if err != nil {
 		return
 	}
-	l.send(frame)
+	l.Send(frame)
 }
 
 // commitEnvelope applies a completed RegisterTenant envelope: a hot model
@@ -533,10 +455,7 @@ func (w *Worker) commitEnvelope(l *link, pe *pendingEnvelope) {
 		// link cut that swallowed the reply. Adopt, don't re-create — the
 		// router never re-registers a live tenant with a different payload.
 		w.mu.Unlock()
-		t.alarmMu.Lock()
-		t.link = l
-		t.alarmMu.Unlock()
-		w.ok(l, wire.OpRegister, t, name)
+		w.attach(l, t, 0, wire.OpRegister)
 		return
 	}
 	w.mu.Unlock()
@@ -548,8 +467,12 @@ func (w *Worker) commitEnvelope(l *link, pe *pendingEnvelope) {
 		w.fail(l, wire.OpRegister, name, err)
 		return
 	}
-	t := &wkTenant{name: name, link: l, ringCap: w.cfg.AlarmRing}
-	if err := w.cfg.Backend.RouteAlarms(name, w.alarmSink(t)); err != nil {
+	t := &wkTenant{name: name, wm: stream.NewWatermark(w.cfg.AckEvery), bank: stream.NewBank(w.cfg.AlarmRing, &w.alarms)}
+	// The sink runs on the tenant's stream thread; the bank never blocks it.
+	sink := func(a wire.Alarm) {
+		t.bank.Push(func(idx uint64) ([]byte, error) { return wire.AppendAlarmStream(nil, name, idx, a) })
+	}
+	if err := w.cfg.Backend.RouteAlarms(name, sink); err != nil {
 		_ = w.cfg.Backend.Deregister(name)
 		w.fail(l, wire.OpRegister, name, err)
 		return
@@ -557,7 +480,15 @@ func (w *Worker) commitEnvelope(l *link, pe *pendingEnvelope) {
 	w.mu.Lock()
 	w.tenants[name] = t
 	w.mu.Unlock()
-	w.ok(l, wire.OpRegister, t, name)
+	w.attach(l, t, 0, wire.OpRegister)
+}
+
+// attach makes l the tenant's live alarm link: the TenantOK reply for op
+// goes first (the router prunes its window off the watermark), then every
+// alarm above the router's receipt index confirmed, before any live one.
+// The router dedups replays by index.
+func (w *Worker) attach(l *link, t *wkTenant, confirmed uint64, op wire.ShardOp) {
+	t.bank.Attach(l, confirmed, func(aidx uint64) []byte { return w.okFrame(op, t, t.name, aidx) })
 }
 
 // decideBatch runs one SubmitBatch through the tenant watermark: each link
@@ -569,42 +500,29 @@ func (w *Worker) decideBatch(l *link, tenant string, evs []wire.BatchEvent) {
 	if t == nil {
 		frame, err := wire.AppendShardNack(nil, wire.ShardNack{Tenant: tenant, Code: wire.CodeUnknownTenant, Detail: "tenant not registered"})
 		if err == nil {
-			l.send(frame)
+			l.Send(frame)
 		}
 		return
 	}
 	for _, be := range evs {
-		t.evMu.Lock()
-		if be.Link <= t.watermark {
+		v := t.wm.Decide(be.Link, func() error { return w.cfg.Backend.Submit(tenant, be.Ev) })
+		switch {
+		case v.Dup:
 			// Already decided by a previous delivery (retransmit overlap).
 			w.duplicates.Add(1)
-			t.evMu.Unlock()
-			continue
-		}
-		// evMu stays held across Submit: a zombie link racing the resumed
-		// one serializes here, keeping admission exactly-once and in link
-		// order. The alarm path never takes evMu, so a Block policy
-		// waiting out a full queue cannot deadlock the stream thread.
-		err := w.cfg.Backend.Submit(tenant, be.Ev)
-		t.watermark = be.Link
-		t.sinceAck++
-		var ack []byte
-		if t.sinceAck >= w.cfg.AckEvery {
-			t.sinceAck = 0
-			ack, _ = wire.AppendShardAck(nil, tenant, t.watermark)
-		}
-		t.evMu.Unlock()
-		if err != nil {
+		case v.Err != nil:
 			w.nacks.Add(1)
-			frame, ferr := wire.AppendShardNack(nil, wire.ShardNack{Tenant: tenant, Link: be.Link, Code: w.cfg.Classify(err), Detail: err.Error()})
+			frame, ferr := wire.AppendShardNack(nil, wire.ShardNack{Tenant: tenant, Link: be.Link, Code: w.cfg.Classify(v.Err), Detail: v.Err.Error()})
 			if ferr == nil {
-				l.send(frame)
+				l.Send(frame)
 			}
-		} else {
+		default:
 			w.events.Add(1)
 		}
-		if ack != nil {
-			l.send(ack)
+		if v.AckDue {
+			if ack, err := wire.AppendShardAck(nil, tenant, v.Ack); err == nil {
+				l.Send(ack)
+			}
 		}
 	}
 }
@@ -628,7 +546,7 @@ func (w *Worker) readLoop(l *link, r *wire.Reader) {
 			if errors.Is(err, wire.ErrFrameTooLarge) {
 				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: err.Error()})
 			}
-			if isTimeout(err) {
+			if wire.IsTimeout(err) {
 				w.evictedIdle.Add(1)
 				w.logf("cluster: evicting router %s: no frame in %v", l.nc.RemoteAddr(), idle)
 			} else if err != io.EOF && !errors.Is(err, net.ErrClosed) {
@@ -693,15 +611,8 @@ func (w *Worker) readLoop(l *link, r *wire.Reader) {
 				w.failUnknown(l, wire.OpResume, tenant)
 				continue
 			}
-			tn.alarmMu.Lock()
-			tn.pruneRingLocked(alarmIdx)
-			tn.link = l
-			tn.alarmMu.Unlock()
 			w.resumes.Add(1)
-			// Reply first (the router prunes its window off the watermark),
-			// then replay unconfirmed alarms; the router dedups by index.
-			w.ok(l, wire.OpResume, tn, tenant)
-			w.replayRing(tn, l)
+			w.attach(l, tn, alarmIdx, wire.OpResume)
 		case wire.FrameQuiesce:
 			tenant, err := wire.ParseTenantFrame(p)
 			if err != nil {
@@ -719,10 +630,10 @@ func (w *Worker) readLoop(l *link, r *wire.Reader) {
 				w.fail(l, wire.OpQuiesce, tenant, err)
 				continue
 			}
-			// Flush unconfirmed alarms before the reply: after quiesce the
+			// Replay unconfirmed alarms before the reply: after quiesce the
 			// router may migrate the tenant away, and a banked alarm must
 			// not be stranded behind a route flip.
-			w.replayRing(tn, l)
+			tn.bank.Attach(l, 0, nil)
 			w.ok(l, wire.OpQuiesce, tn, tenant)
 		case wire.FrameExportEnvelope:
 			tenant, err := wire.ParseTenantFrame(p)
@@ -786,7 +697,7 @@ func (w *Worker) readLoop(l *link, r *wire.Reader) {
 				w.fail(l, wire.OpStats, "", err)
 				continue
 			}
-			l.send(wire.AppendShardStats(nil, doc))
+			l.Send(wire.AppendShardStats(nil, doc))
 		case wire.FrameAlarmStreamAck:
 			tenant, idx, err := wire.ParseAlarmStreamAck(p)
 			if err != nil {
@@ -794,9 +705,7 @@ func (w *Worker) readLoop(l *link, r *wire.Reader) {
 				return
 			}
 			if tn := w.tenant(tenant); tn != nil {
-				tn.alarmMu.Lock()
-				tn.pruneRingLocked(idx)
-				tn.alarmMu.Unlock()
+				tn.bank.Confirm(idx)
 			}
 		case wire.FramePing:
 			// Flush the cumulative ack for every tenant attached to this
@@ -809,21 +718,14 @@ func (w *Worker) readLoop(l *link, r *wire.Reader) {
 			}
 			w.mu.Unlock()
 			for _, tn := range tenants {
-				tn.alarmMu.Lock()
-				attached := tn.link == l
-				tn.alarmMu.Unlock()
-				if !attached {
+				if !tn.bank.Holds(l) {
 					continue
 				}
-				tn.evMu.Lock()
-				tn.sinceAck = 0
-				ack, _ := wire.AppendShardAck(nil, tn.name, tn.watermark)
-				tn.evMu.Unlock()
-				if ack != nil {
-					l.send(ack)
+				if ack, err := wire.AppendShardAck(nil, tn.name, tn.wm.AckNow()); err == nil {
+					l.Send(ack)
 				}
 			}
-			l.send(wire.AppendPong(nil))
+			l.Send(wire.AppendPong(nil))
 		case wire.FrameBye:
 			return
 		default:
@@ -845,17 +747,17 @@ func (w *Worker) sendEnvelope(l *link, tenant string, model, state []byte) bool 
 			frame, err := wire.AppendEnvelopeChunk(nil, wire.EnvelopeChunk{Tenant: tenant, Kind: part.kind, Data: piece})
 			if err != nil {
 				w.logf("cluster: encoding envelope chunk for %q: %v", tenant, err)
-				l.finish()
+				l.Finish()
 				return false
 			}
-			l.send(frame)
+			l.Send(frame)
 		}
 	}
 	frame, err := wire.AppendTenantFrame(nil, wire.FrameEnvelopeDone, tenant)
 	if err != nil {
-		l.finish()
+		l.Finish()
 		return false
 	}
-	l.send(frame)
+	l.Send(frame)
 	return true
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/causaliot/causaliot/internal/stream"
 )
 
 // Backend is the serving side the wire server fronts. The facade adapts a
@@ -130,7 +132,8 @@ type ServerStats struct {
 	// Alarms counts alarm frames pushed to live producers at raise time;
 	// AlarmsBuffered the alarms banked in a session's replay ring while
 	// no (responsive) connection was attached; AlarmReplays the ring
-	// entries re-pushed after a Resume. AlarmsDropped counts alarms lost
+	// entries sent later: re-pushed after a Resume, or once a full queue
+	// drained. AlarmsDropped counts alarms lost
 	// for real: a plain connection's full queue, or a session ring
 	// overflowing with unconfirmed alarms.
 	Alarms         uint64
@@ -142,32 +145,15 @@ type ServerStats struct {
 }
 
 // session is the durable per-(tenant, name) state that outlives any one
-// connection: the decided-event watermark for exactly-once admission, and a
-// bounded ring of unconfirmed alarms replayed on resume.
-//
-// Two mutexes split the two concerns deliberately: evMu is held across
-// Backend.Submit (which may block under a Block backpressure policy), and
-// the alarm sink — invoked on the tenant's stream thread, which must never
-// wait behind a blocked Submit — takes only alarmMu.
+// connection: the decided-event watermark for exactly-once admission, and
+// the bank of unconfirmed alarms replayed on resume. The watermark's lock is
+// held across Backend.Submit (which may block under a Block backpressure
+// policy); the alarm sink, invoked on the tenant's stream thread, takes only
+// the bank's.
 type session struct {
 	tenant, name string
-
-	evMu      sync.Mutex
-	watermark uint64 // highest Seq decided (admitted or nacked)
-	sinceAck  int
-
-	alarmMu  sync.Mutex
-	conn     *srvConn // connection currently attached; nil while orphaned
-	alarmSeq uint64   // last assigned session-alarm index
-	ring     []sessAlarm
-	ringCap  int
-}
-
-// sessAlarm is one banked alarm: its session index and the pre-encoded
-// SessionAlarm frame (replay is a straight enqueue, no re-encoding).
-type sessAlarm struct {
-	idx   uint64
-	frame []byte
+	wm           *stream.Watermark
+	bank         *stream.Bank
 }
 
 func sessionKey(tenant, name string) string { return tenant + "\x00" + name }
@@ -184,19 +170,16 @@ type Server struct {
 	sessions map[string]*session
 	closed   bool
 
-	active         atomic.Int64
-	totalConns     atomic.Uint64
-	events         atomic.Uint64
-	nacks          atomic.Uint64
-	duplicates     atomic.Uint64
-	retransmits    atomic.Uint64
-	resumes        atomic.Uint64
-	evictedIdle    atomic.Uint64
-	alarms         atomic.Uint64
-	alarmsBuffered atomic.Uint64
-	alarmReplays   atomic.Uint64
-	alarmsDropped  atomic.Uint64
-	authFailures   atomic.Uint64
+	active       atomic.Int64
+	totalConns   atomic.Uint64
+	events       atomic.Uint64
+	nacks        atomic.Uint64
+	duplicates   atomic.Uint64
+	retransmits  atomic.Uint64
+	resumes      atomic.Uint64
+	evictedIdle  atomic.Uint64
+	alarms       stream.Counters
+	authFailures atomic.Uint64
 }
 
 // NewServer creates a wire server over a backend; call Serve with one or
@@ -309,119 +292,47 @@ func (s *Server) Stats() ServerStats {
 		Sessions:       nsess,
 		Resumes:        s.resumes.Load(),
 		EvictedIdle:    s.evictedIdle.Load(),
-		Alarms:         s.alarms.Load(),
-		AlarmsBuffered: s.alarmsBuffered.Load(),
-		AlarmReplays:   s.alarmReplays.Load(),
-		AlarmsDropped:  s.alarmsDropped.Load(),
+		Alarms:         s.alarms.Pushed.Load(),
+		AlarmsBuffered: s.alarms.Banked.Load(),
+		AlarmReplays:   s.alarms.Replayed.Load(),
+		AlarmsDropped:  s.alarms.Dropped.Load(),
 		AuthFailures:   s.authFailures.Load(),
 	}
 }
 
-// srvConn is one accepted connection: a reader loop (this goroutine), a
-// writer goroutine serializing Nack and Alarm frames, and — once
+// srvConn is one accepted connection: a reader loop (this goroutine), the
+// outbound Conn serializing Nack and Alarm frames, and — once
 // authenticated — an alarm route claimed on the backend, either directly
 // (plain v1 connection) or through a durable session.
 type srvConn struct {
+	*Conn
 	srv    *Server
 	nc     net.Conn
 	tenant string
 	sess   *session // attached by a Resume frame; nil on plain connections
 	clean  bool     // Bye received: teardown retires the session
 
-	out      chan outFrame // encoded frames toward the producer
-	done     chan struct{}
-	closeOne sync.Once
-
 	alarmDropLogged atomic.Bool
 }
 
-// outFrame is one queued outbound frame; wrote (when non-nil) is closed
-// after the frame reaches the socket (or the write path fails), letting a
-// final Nack be flushed before the connection is torn down.
-type outFrame struct {
-	b     []byte
-	wrote chan struct{}
-}
-
-func (c *srvConn) finish() {
-	c.closeOne.Do(func() { close(c.done) })
-	c.nc.Close()
-}
-
-// send queues one encoded frame for the writer; it blocks while the queue
-// is full (the reader applying transport backpressure) but never past the
-// connection's end.
-func (c *srvConn) send(frame []byte) {
-	select {
-	case c.out <- outFrame{b: frame}:
-	case <-c.done:
-	}
-}
-
-// trySend queues one encoded frame without blocking, reporting whether it
-// was accepted. Alarm push-back uses it: the sink runs on the tenant's
-// stream thread, which must never stall behind a slow producer.
-func (c *srvConn) trySend(frame []byte) bool {
-	select {
-	case c.out <- outFrame{b: frame}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (c *srvConn) writeLoop() {
-	bw := newFlushWriter(deadlineWriter{nc: c.nc, timeout: c.srv.cfg.WriteTimeout})
-	failed := false
-	for {
-		select {
-		case f := <-c.out:
-			if !failed {
-				if err := bw.write(f.b, len(c.out) == 0); err != nil {
-					failed = true
-					if isTimeout(err) {
-						c.srv.evictedIdle.Add(1)
-						c.srv.logf("wire: evicting %s (tenant %q): write stalled past %v",
-							c.nc.RemoteAddr(), c.tenant, c.srv.cfg.WriteTimeout)
-					}
-					c.nc.Close() // wake the reader; it finishes the conn
-				}
-			}
-			// After a failure, keep draining so senders never park on a
-			// dead conn; acknowledge regardless so nackClose cannot hang.
-			if f.wrote != nil {
-				close(f.wrote)
-			}
-		case <-c.done:
-			return
-		}
-	}
-}
-
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
 func (s *Server) handle(nc net.Conn) {
-	c := &srvConn{
-		srv:  s,
-		nc:   nc,
-		out:  make(chan outFrame, s.cfg.AlarmBuffer),
-		done: make(chan struct{}),
-	}
+	c := &srvConn{srv: s, nc: nc}
+	c.Conn = NewConn(nc, s.cfg.AlarmBuffer, s.cfg.WriteTimeout, func() {
+		s.evictedIdle.Add(1)
+		s.logf("wire: evicting %s (tenant %q): write stalled past %v",
+			nc.RemoteAddr(), c.tenant, s.cfg.WriteTimeout)
+	})
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		nc.Close()
+		c.Finish()
 		return
 	}
 	s.conns[c] = struct{}{}
 	s.mu.Unlock()
-	go c.writeLoop()
 	authed := false
 	defer func() {
-		c.finish()
+		c.Finish()
 		s.teardown(c)
 		// A connection stops counting as active only once teardown has
 		// detached it from its session: from then on the session banks
@@ -466,13 +377,7 @@ func (s *Server) teardown(c *srvConn) {
 		s.mu.Unlock()
 		return
 	}
-	retire := false
-	sess.alarmMu.Lock()
-	if sess.conn == c {
-		sess.conn = nil
-		retire = c.clean
-	}
-	sess.alarmMu.Unlock()
+	retire := sess.bank.Detach(c) && c.clean
 	if retire {
 		delete(s.sessions, sessionKey(sess.tenant, sess.name))
 	}
@@ -489,17 +394,7 @@ func (c *srvConn) nackClose(n Nack) {
 	if err != nil {
 		return
 	}
-	wrote := make(chan struct{})
-	select {
-	case c.out <- outFrame{b: frame, wrote: wrote}:
-	case <-c.done:
-		return
-	}
-	select {
-	case <-wrote:
-	case <-c.done:
-	case <-time.After(time.Second):
-	}
+	c.SendWait(frame, time.Second)
 }
 
 // hello performs the authentication handshake; any error means the
@@ -540,7 +435,7 @@ func (s *Server) hello(c *srvConn, r *Reader) (sessionIntent bool, err error) {
 		}
 	}
 	c.tenant = tenant
-	c.send(AppendWelcome(nil, uint32(s.cfg.MaxFrame)))
+	c.Send(AppendWelcome(nil, uint32(s.cfg.MaxFrame)))
 	return sessionIntent, nil
 }
 
@@ -576,22 +471,28 @@ func (s *Server) claimAlarms(tenant string, c *srvConn) error {
 }
 
 // attachSession binds c to the (tenant, name) session, creating it on
-// first use, and routes the tenant's alarms through the session sink. It
-// returns the encoded ResumeOK and the banked alarm frames to replay.
-func (s *Server) attachSession(c *srvConn, name string, alarmIdx uint64) (resumeOK []byte, replay [][]byte, err error) {
+// first use and routing the tenant's alarms through the session's bank,
+// then sends the ResumeOK and replays the alarms the client has not
+// confirmed receiving (the bank's attach keeps live alarms behind both).
+func (s *Server) attachSession(c *srvConn, name string, alarmIdx uint64) error {
 	key := sessionKey(c.tenant, name)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, nil, errors.New("wire: server closed")
+		return errors.New("wire: server closed")
 	}
 	sess, ok := s.sessions[key]
 	if !ok {
 		if len(s.sessions) >= s.cfg.MaxSessions {
 			s.mu.Unlock()
-			return nil, nil, fmt.Errorf("wire: session table full (%d sessions)", s.cfg.MaxSessions)
+			return fmt.Errorf("wire: session table full (%d sessions)", s.cfg.MaxSessions)
 		}
-		sess = &session{tenant: c.tenant, name: name, ringCap: s.cfg.SessionAlarmBuffer}
+		sess = &session{
+			tenant: c.tenant,
+			name:   name,
+			wm:     stream.NewWatermark(s.cfg.AckEvery),
+			bank:   stream.NewBank(s.cfg.SessionAlarmBuffer, &s.alarms),
+		}
 		s.sessions[key] = sess
 	}
 	// A plain connection may still own this tenant's alarm route; the
@@ -601,80 +502,25 @@ func (s *Server) attachSession(c *srvConn, name string, alarmIdx uint64) (resume
 	delete(s.owners, c.tenant)
 	s.mu.Unlock()
 
-	sess.alarmMu.Lock()
-	// The client's receipt index confirms everything at or below it;
-	// prune, then snapshot the tail to replay.
-	sess.pruneLocked(alarmIdx)
-	for _, sa := range sess.ring {
-		replay = append(replay, sa.frame)
-	}
-	sess.conn = c
-	aidx := sess.alarmSeq
-	sess.alarmMu.Unlock()
-
-	sess.evMu.Lock()
-	wm := sess.watermark
-	sess.evMu.Unlock()
-
 	if err := s.cfg.Backend.RouteAlarms(c.tenant, s.sessionSink(sess)); err != nil {
-		sess.alarmMu.Lock()
-		if sess.conn == c {
-			sess.conn = nil
-		}
-		sess.alarmMu.Unlock()
-		return nil, nil, err
+		return err
 	}
 	c.sess = sess
 	s.resumes.Add(1)
-	return AppendResumeOK(nil, wm, aidx), replay, nil
+	wm := sess.wm.AckNow()
+	sess.bank.Attach(c, alarmIdx, func(aidx uint64) []byte { return AppendResumeOK(nil, wm, aidx) })
+	return nil
 }
 
-// pruneLocked drops ring entries the client has confirmed. Callers hold
-// alarmMu.
-func (sess *session) pruneLocked(idx uint64) {
-	keep := 0
-	for ; keep < len(sess.ring) && sess.ring[keep].idx <= idx; keep++ {
-	}
-	if keep > 0 {
-		sess.ring = append(sess.ring[:0], sess.ring[keep:]...)
-	}
-}
-
-// sessionSink banks every alarm in the session's replay ring and pushes it
-// to the attached connection when one is listening. Runs on the tenant's
-// stream thread: never blocks, never touches evMu.
+// sessionSink banks every alarm in the session's bank, which pushes it to
+// the attached connection when one is listening. Runs on the tenant's
+// stream thread: never blocks, never touches the watermark.
 func (s *Server) sessionSink(sess *session) func(Alarm) {
 	return func(a Alarm) {
-		sess.alarmMu.Lock()
-		sess.alarmSeq++
-		idx := sess.alarmSeq
-		frame, err := AppendSessionAlarm(nil, idx, a)
-		if err != nil {
-			sess.alarmMu.Unlock()
-			s.alarmsDropped.Add(1)
-			return
-		}
-		if len(sess.ring) >= sess.ringCap {
-			// Every ring entry is unconfirmed (receipts pruned it), so an
-			// eviction is a real, counted loss — never silent.
-			sess.ring = append(sess.ring[:0], sess.ring[1:]...)
-			s.alarmsDropped.Add(1)
-		}
-		sess.ring = append(sess.ring, sessAlarm{idx: idx, frame: frame})
-		c := sess.conn
-		sess.alarmMu.Unlock()
-		if c == nil {
-			s.alarmsBuffered.Add(1)
-			return
-		}
-		if c.trySend(frame) {
-			s.alarms.Add(1)
-			return
-		}
-		// Queue full on a live connection: the alarm stays banked in the
-		// ring and reaches the producer on its next resume.
-		s.alarmsBuffered.Add(1)
-		if c.alarmDropLogged.CompareAndSwap(false, true) {
+		full := sess.bank.Push(func(idx uint64) ([]byte, error) { return AppendSessionAlarm(nil, idx, a) })
+		if c, ok := full.(*srvConn); ok && c.alarmDropLogged.CompareAndSwap(false, true) {
+			// The alarm stays banked and follows once the queue drains,
+			// or reaches the producer on its next resume.
 			s.logf("wire: alarm queue full for tenant %q on %s; banked for replay (first occurrence — producer not reading, or raise AlarmBuffer)",
 				c.tenant, c.nc.RemoteAddr())
 		}
@@ -687,14 +533,14 @@ func (s *Server) sessionSink(sess *session) func(Alarm) {
 func (s *Server) pushAlarm(c *srvConn, a Alarm) {
 	frame, err := AppendAlarm(nil, a)
 	if err != nil {
-		s.alarmsDropped.Add(1)
+		s.alarms.Dropped.Add(1)
 		return
 	}
-	if c.trySend(frame) {
-		s.alarms.Add(1)
+	if c.TrySend(frame) {
+		s.alarms.Pushed.Add(1)
 		return
 	}
-	s.alarmsDropped.Add(1)
+	s.alarms.Dropped.Add(1)
 	if c.alarmDropLogged.CompareAndSwap(false, true) {
 		s.logf("wire: alarm queue full for tenant %q on %s; dropping (first drop — producer not reading, or raise AlarmBuffer)",
 			c.tenant, c.nc.RemoteAddr())
@@ -716,63 +562,34 @@ func (s *Server) nextFrame(c *srvConn, r *Reader) (FrameType, []byte, error) {
 
 // decideEvent runs one event frame through the session watermark (exactly
 // once per sequence number) or straight to the backend for plain
-// connections. It returns false only when the connection must close.
-func (s *Server) decideEvent(c *srvConn, ev Event, retx bool) bool {
+// connections.
+func (s *Server) decideEvent(c *srvConn, ev Event, retx bool) {
 	if retx {
 		s.retransmits.Add(1)
 	}
-	sess := c.sess
-	var ack []byte
-	if sess != nil {
-		sess.evMu.Lock()
-		if ev.Seq <= sess.watermark {
-			// Already decided by a previous delivery: acknowledged (the
-			// cumulative ack below covers it) but never re-admitted.
-			s.duplicates.Add(1)
-			sess.sinceAck++
-			if sess.sinceAck >= s.cfg.AckEvery {
-				sess.sinceAck = 0
-				ack = AppendAck(nil, sess.watermark)
-			}
-			sess.evMu.Unlock()
-			if ack != nil {
-				c.send(ack)
-			}
-			return true
-		}
-		// evMu stays held across Submit: a zombie connection racing the
-		// resumed one serializes here, keeping admission exactly-once and
-		// in sequence order. The alarm path never takes evMu, so a Block
-		// policy waiting out a full queue cannot deadlock the stream
-		// thread.
-		err := s.cfg.Backend.Submit(c.tenant, ev)
-		sess.watermark = ev.Seq
-		sess.sinceAck++
-		if sess.sinceAck >= s.cfg.AckEvery {
-			sess.sinceAck = 0
-			ack = AppendAck(nil, ev.Seq)
-		}
-		sess.evMu.Unlock()
-		s.finishDecide(c, ev, err)
-		if ack != nil {
-			c.send(ack)
-		}
-		return true
+	submit := func() error { return s.cfg.Backend.Submit(c.tenant, ev) }
+	var v stream.Verdict
+	if c.sess == nil {
+		v.Err = submit()
+	} else {
+		v = c.sess.wm.Decide(ev.Seq, submit)
 	}
-	s.finishDecide(c, ev, s.cfg.Backend.Submit(c.tenant, ev))
-	return true
-}
-
-func (s *Server) finishDecide(c *srvConn, ev Event, err error) {
-	if err != nil {
+	switch {
+	case v.Dup:
+		// Already decided by a previous delivery: acknowledged (the
+		// cumulative ack covers it) but never re-admitted.
+		s.duplicates.Add(1)
+	case v.Err != nil:
 		s.nacks.Add(1)
-		frame, ferr := AppendNack(nil, Nack{Seq: ev.Seq, Code: s.cfg.Classify(err), Detail: err.Error()})
-		if ferr == nil {
-			c.send(frame)
+		if frame, err := AppendNack(nil, Nack{Seq: ev.Seq, Code: s.cfg.Classify(v.Err), Detail: v.Err.Error()}); err == nil {
+			c.Send(frame)
 		}
-		return
+	default:
+		s.events.Add(1)
 	}
-	s.events.Add(1)
+	if v.AckDue {
+		c.Send(AppendAck(nil, v.Ack))
+	}
 }
 
 func (s *Server) readLoop(c *srvConn, r *Reader, sessionIntent bool) {
@@ -791,7 +608,7 @@ func (s *Server) readLoop(c *srvConn, r *Reader, sessionIntent bool) {
 		}
 		t, p, err := s.nextFrame(c, r)
 		if err != nil {
-			if isTimeout(err) {
+			if IsTimeout(err) {
 				s.evictedIdle.Add(1)
 				s.logf("wire: evicting %s (tenant %q): no frame in %v", c.nc.RemoteAddr(), c.tenant, idle)
 			} else if err != io.EOF && !errors.Is(err, net.ErrClosed) {
@@ -812,9 +629,7 @@ func (s *Server) readLoop(c *srvConn, r *Reader, sessionIntent bool) {
 				c.nackClose(Nack{Code: CodeProtocol, Detail: "malformed event"})
 				return
 			}
-			if !s.decideEvent(c, ev, t == FrameEventRetx) {
-				return
-			}
+			s.decideEvent(c, ev, t == FrameEventRetx)
 		case FrameResume:
 			if c.sess != nil {
 				c.nackClose(Nack{Code: CodeProtocol, Detail: "duplicate resume"})
@@ -825,17 +640,11 @@ func (s *Server) readLoop(c *srvConn, r *Reader, sessionIntent bool) {
 				c.nackClose(Nack{Code: CodeProtocol, Detail: "malformed resume"})
 				return
 			}
-			resumeOK, replay, err := s.attachSession(c, name, alarmIdx)
-			if err != nil {
+			if err := s.attachSession(c, name, alarmIdx); err != nil {
 				c.nackClose(Nack{Code: s.cfg.Classify(err), Detail: err.Error()})
 				s.logf("wire: refused resume from %s (tenant %q, session %q): %v",
 					c.nc.RemoteAddr(), c.tenant, name, err)
 				return
-			}
-			c.send(resumeOK)
-			for _, frame := range replay {
-				s.alarmReplays.Add(1)
-				c.send(frame)
 			}
 		case FrameAlarmAck:
 			idx, err := ParseAlarmAck(p)
@@ -843,22 +652,16 @@ func (s *Server) readLoop(c *srvConn, r *Reader, sessionIntent bool) {
 				c.nackClose(Nack{Code: CodeProtocol, Detail: "unexpected alarm-ack"})
 				return
 			}
-			c.sess.alarmMu.Lock()
-			c.sess.pruneLocked(idx)
-			c.sess.alarmMu.Unlock()
+			c.sess.bank.Confirm(idx)
 		case FramePing:
 			// A session's Ping also flushes the cumulative ack: the tail
 			// below the AckEvery cadence would otherwise sit unacked in the
 			// producer's retransmit window forever once the stream goes
 			// quiet.
 			if sess := c.sess; sess != nil {
-				sess.evMu.Lock()
-				sess.sinceAck = 0
-				ack := AppendAck(nil, sess.watermark)
-				sess.evMu.Unlock()
-				c.send(ack)
+				c.Send(AppendAck(nil, sess.wm.AckNow()))
 			}
-			c.send(AppendPong(nil))
+			c.Send(AppendPong(nil))
 		case FrameBye:
 			c.clean = true
 			return
@@ -867,39 +670,4 @@ func (s *Server) readLoop(c *srvConn, r *Reader, sessionIntent bool) {
 			return
 		}
 	}
-}
-
-// deadlineWriter arms a write deadline before every socket write so a peer
-// that stopped reading cannot wedge the writer goroutine forever.
-type deadlineWriter struct {
-	nc      net.Conn
-	timeout time.Duration
-}
-
-func (w deadlineWriter) Write(p []byte) (int, error) {
-	if w.timeout > 0 {
-		w.nc.SetWriteDeadline(time.Now().Add(w.timeout))
-	}
-	return w.nc.Write(p)
-}
-
-// flushWriter batches frame writes, flushing when the outbound queue goes
-// idle so a burst costs one syscall, not one per frame.
-type flushWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-func newFlushWriter(w io.Writer) *flushWriter {
-	return &flushWriter{w: w, buf: make([]byte, 0, 32<<10)}
-}
-
-func (f *flushWriter) write(frame []byte, flush bool) error {
-	f.buf = append(f.buf, frame...)
-	if !flush && len(f.buf) < 32<<10 {
-		return nil
-	}
-	_, err := f.w.Write(f.buf)
-	f.buf = f.buf[:0]
-	return err
 }

@@ -2,38 +2,26 @@ package wire
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
+
+	"github.com/causaliot/causaliot/internal/stream"
 )
 
 // SessionState is a SessionClient's connection health, reported through
 // OnStateChange.
-type SessionState int
+type SessionState = stream.State
 
 const (
 	// StateConnected: a live connection is attached to the session.
-	StateConnected SessionState = iota
+	StateConnected = stream.Connected
 	// StateDegraded: the connection died; reconnect attempts are running
 	// and Send banks events in the window meanwhile.
-	StateDegraded
+	StateDegraded = stream.Degraded
 	// StateGaveUp: MaxAttempts consecutive reconnects failed; the client
 	// is terminally down and every later Send returns ErrSessionGaveUp.
-	StateGaveUp
+	StateGaveUp = stream.GaveUp
 )
-
-func (s SessionState) String() string {
-	switch s {
-	case StateConnected:
-		return "connected"
-	case StateDegraded:
-		return "degraded"
-	case StateGaveUp:
-		return "gave-up"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
 
 // SessionConfig tunes a fault-tolerant session client.
 type SessionConfig struct {
@@ -126,10 +114,8 @@ type SessionClient struct {
 	mu       sync.Mutex
 	conn     *Client
 	state    SessionState
-	window   []Event // sent-but-unacked, ascending Seq
-	lastSeq  uint64  // highest Seq accepted into the window
-	acked    uint64  // server's cumulative decided watermark
-	alarmIdx uint64  // highest session-alarm index received
+	window   *stream.Window[Event] // sent-but-unacked, ascending Seq
+	alarmIdx uint64                // session-alarm receipt index
 	closed   bool
 	gaveUp   bool
 
@@ -138,10 +124,9 @@ type SessionClient struct {
 	retransmits uint64
 	recoveries  []time.Duration
 
-	rng    *rand.Rand
-	rngMu  sync.Mutex
-	wg     sync.WaitGroup
-	closeC chan struct{}
+	backoff *stream.Backoff
+	wg      sync.WaitGroup
+	closeC  chan struct{}
 }
 
 // OpenSession dials the first connection and attaches the session. The
@@ -153,9 +138,10 @@ func OpenSession(cfg SessionConfig) (*SessionClient, error) {
 		return nil, fmt.Errorf("%w: empty session name", ErrBadFrame)
 	}
 	s := &SessionClient{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.JitterSeed)),
-		closeC: make(chan struct{}),
+		cfg:     cfg,
+		window:  stream.NewWindow(cfg.Window, func(ev Event) uint64 { return ev.Seq }),
+		backoff: stream.NewBackoff(cfg.BackoffMin, cfg.BackoffMax, cfg.JitterSeed),
+		closeC:  make(chan struct{}),
 	}
 	conn, err := s.dial()
 	if err != nil {
@@ -163,8 +149,9 @@ func OpenSession(cfg SessionConfig) (*SessionClient, error) {
 	}
 	s.mu.Lock()
 	s.conn = conn
-	s.acked, s.alarmIdx = conn.ResumeState()
-	s.lastSeq = s.acked
+	var wm uint64
+	wm, s.alarmIdx = conn.ResumeState()
+	s.window.Ack(wm) // a reopened session's next Seq must exceed wm
 	s.state = StateConnected
 	s.mu.Unlock()
 	s.notify(StateConnected)
@@ -183,6 +170,7 @@ func (s *SessionClient) notify(st SessionState) {
 func (s *SessionClient) dial() (*Client, error) {
 	s.mu.Lock()
 	aidx := s.alarmIdx
+	s.attempts++
 	s.mu.Unlock()
 	cc := s.cfg.Client
 	cc.Session = s.cfg.Session
@@ -190,33 +178,14 @@ func (s *SessionClient) dial() (*Client, error) {
 	cc.OnAck = s.onAck
 	cc.OnSessionAlarm = s.onSessionAlarm
 	cc.OnAlarm = nil // session connections receive FrameSessionAlarm only
-	s.attemptsAdd()
 	return Dial(s.cfg.Addr, cc)
-}
-
-func (s *SessionClient) attemptsAdd() {
-	s.mu.Lock()
-	s.attempts++
-	s.mu.Unlock()
 }
 
 // onAck prunes the window up to the server's cumulative decided seq.
 func (s *SessionClient) onAck(seq uint64) {
 	s.mu.Lock()
-	if seq > s.acked {
-		s.acked = seq
-		s.pruneLocked(seq)
-	}
+	s.window.Ack(seq)
 	s.mu.Unlock()
-}
-
-func (s *SessionClient) pruneLocked(seq uint64) {
-	keep := 0
-	for ; keep < len(s.window) && s.window[keep].Seq <= seq; keep++ {
-	}
-	if keep > 0 {
-		s.window = append(s.window[:0], s.window[keep:]...)
-	}
 }
 
 // onSessionAlarm records the receipt index, confirms it to the server (so
@@ -264,28 +233,22 @@ func (s *SessionClient) watch(conn *Client) {
 // reconnect runs capped exponential backoff with jitter until a resume
 // succeeds, the client closes, or MaxAttempts consecutive dials fail.
 func (s *SessionClient) reconnect(died time.Time) {
-	for attempt := 0; ; attempt++ {
-		select {
-		case <-time.After(s.backoff(attempt)):
-		case <-s.closeC:
-			return
-		}
+	gaveUp := s.backoff.Retry(s.closeC, s.cfg.MaxAttempts, func() bool {
 		conn, err := s.dial()
 		if err != nil {
-			if attempt+1 >= s.cfg.MaxAttempts {
-				s.mu.Lock()
-				s.gaveUp = true
-				s.state = StateGaveUp
-				s.mu.Unlock()
-				s.notify(StateGaveUp)
-				return
-			}
-			continue
+			return false
 		}
 		// resume either installs the connection (its watcher owns the
-		// next failure) or lost a race with Close; both end this loop.
+		// next failure) or lost a race with Close; both end the retries.
 		s.resume(conn, died)
-		return
+		return true
+	})
+	if gaveUp {
+		s.mu.Lock()
+		s.gaveUp = true
+		s.state = StateGaveUp
+		s.mu.Unlock()
+		s.notify(StateGaveUp)
 	}
 }
 
@@ -300,12 +263,12 @@ func (s *SessionClient) resume(conn *Client, died time.Time) {
 		conn.Close()
 		return
 	}
-	wm, _ := conn.ResumeState()
-	if wm > s.acked {
-		s.acked = wm
-	}
-	s.pruneLocked(s.acked)
-	for _, ev := range s.window {
+	wm, aidx := conn.ResumeState()
+	// A server behind our receipt index restarted and numbers alarms
+	// afresh: rebase, or the next resume would confirm (and so prune)
+	// alarms this client never received.
+	s.alarmIdx = min(s.alarmIdx, aidx)
+	for _, ev := range s.window.Resume(wm) {
 		s.retransmits++
 		if err := conn.SendRetx(ev); err != nil {
 			break // conn died mid-replay; its watcher will retry the rest
@@ -321,22 +284,6 @@ func (s *SessionClient) resume(conn *Client, died time.Time) {
 	s.watch(conn)
 }
 
-// backoff computes the wait before reconnect attempt n: BackoffMin doubled
-// per attempt, capped at BackoffMax, plus up to 50% deterministic jitter.
-func (s *SessionClient) backoff(attempt int) time.Duration {
-	d := s.cfg.BackoffMin
-	for i := 0; i < attempt && d < s.cfg.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > s.cfg.BackoffMax {
-		d = s.cfg.BackoffMax
-	}
-	s.rngMu.Lock()
-	j := time.Duration(s.rng.Int63n(int64(d)/2 + 1))
-	s.rngMu.Unlock()
-	return d + j
-}
-
 // Send accepts one event into the session window and, when a connection is
 // live, streams it. Events must carry strictly increasing Seq. While
 // degraded the event is banked and delivered on resume; a full window
@@ -350,18 +297,19 @@ func (s *SessionClient) Send(ev Event) error {
 	if s.gaveUp {
 		return ErrSessionGaveUp
 	}
-	if ev.Seq <= s.lastSeq {
-		return fmt.Errorf("%w: seq %d after %d", ErrSeqOrder, ev.Seq, s.lastSeq)
+	if last := s.window.Last(); ev.Seq <= last {
+		return fmt.Errorf("%w: seq %d after %d", ErrSeqOrder, ev.Seq, last)
 	}
-	if len(s.window) >= s.cfg.Window {
+	if s.window.Full() {
 		return ErrSendWindowFull
 	}
-	s.lastSeq = ev.Seq
-	s.window = append(s.window, ev)
+	s.window.Push(ev)
 	if s.conn != nil {
 		// A write error here is not a loss: the event is in the window
 		// and the watcher's resume will retransmit it.
-		s.conn.Send(ev)
+		for _, e := range s.window.Unsent() {
+			s.conn.Send(e)
+		}
 	}
 	return nil
 }
@@ -418,8 +366,8 @@ func (s *SessionClient) Stats() SessionStats {
 		Reconnects:  s.reconnects,
 		Attempts:    s.attempts,
 		Retransmits: s.retransmits,
-		Acked:       s.acked,
-		Window:      len(s.window),
+		Acked:       s.window.Acked(),
+		Window:      s.window.Len(),
 		Recoveries:  rec,
 		State:       s.state,
 	}
@@ -429,7 +377,7 @@ func (s *SessionClient) Stats() SessionStats {
 func (s *SessionClient) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.window)
+	return s.window.Len()
 }
 
 // Close tears the session client down: stops the reconnect machinery,
